@@ -10,6 +10,7 @@ markup.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Mapping
@@ -178,12 +179,15 @@ def ingest_document(
                 f"{prev.start}..{prev.end} and {cur.start}..{cur.end}"
             )
 
-    spans = [(a.start, a.end) for a in annotations]
-    keyword_tokens = [
-        tok
-        for tok, ts, te in tokenize_with_spans(text)
-        if not any(ts < se and ss < te for ss, se in spans)
-    ]
+    # Sorted disjoint spans have sorted ends: the first span ending after a
+    # token's start is the only one the token can touch.
+    starts = [a.start for a in annotations]
+    ends = [a.end for a in annotations]
+    keyword_tokens = []
+    for tok, ts, te in tokenize_with_spans(text):
+        i = bisect_right(ends, ts)
+        if i == len(ends) or te <= starts[i]:
+            keyword_tokens.append(tok)
     if stopwords:
         keyword_tokens = [t for t in keyword_tokens if t not in stopwords]
     return AnnotatedDocument(doc_id, text, tuple(annotations), tuple(keyword_tokens))

@@ -70,6 +70,7 @@ def load_qrels(path: str | Path) -> Qrels:
 def load_run_file(path: str | Path) -> dict[str, list[str]]:
     """Read a TREC run file back into per-query ranked document lists."""
     runs: dict[str, list[str]] = {}
+    listed: dict[str, set[str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -82,12 +83,13 @@ def load_run_file(path: str | Path) -> dict[str, list[str]]:
                 float(score)
             except ValueError:
                 raise EvalError(f"{path}, line {lineno}: bad score {score!r}") from None
-            ranked = runs.setdefault(query_id, [])
-            if doc_id in ranked:
+            seen = listed.setdefault(query_id, set())
+            if doc_id in seen:
                 raise EvalError(
                     f"{path}, line {lineno}: document {doc_id!r} listed twice for {query_id!r}"
                 )
-            ranked.append(doc_id)
+            seen.add(doc_id)
+            runs.setdefault(query_id, []).append(doc_id)
     return runs
 
 

@@ -59,19 +59,26 @@ class InvertedIndex:
         self.kb = kb
         self.taxonomy = taxonomy
         self.stopwords = frozenset(stopwords)
-        self._doc_set = set(self.doc_ids)
+        self.doc_set = frozenset(self.doc_ids)
         # Normalize to sorted term order here so the build and load paths
         # produce identical iteration order, hence identical float sums.
         self._postings: dict[str, dict[Term, dict[str, int]]] = {
             space: {t: dict(sp[t]) for t in sorted(sp)}
             for space, sp in ((s, postings.get(s, {})) for s in STORED_SPACES)
         }
-        self._forward: dict[str, dict[str, dict[Term, int]]] = {s: {} for s in STORED_SPACES}
+        # Each document's tf.idf vector length per vector space, absent where
+        # it has no term. Squares are summed in sorted term order, and UNIFIED
+        # runs on through the partitioned spaces in TERM_SPACES order.
+        sumsq: dict[str, dict[str, float]] = {s: {} for s in VECTOR_SPACES}
         for space, sp in self._postings.items():
-            fwd = self._forward[space]
+            accs = (sumsq[space], sumsq["UNIFIED"]) if space in TERM_SPACES else (sumsq[space],)
             for term, plist in sp.items():
+                idf = self.idf(term, space)
                 for doc_id, tf in plist.items():
-                    fwd.setdefault(doc_id, {})[term] = tf
+                    weight = tf * idf
+                    for acc in accs:
+                        acc[doc_id] = acc.get(doc_id, 0.0) + weight * weight
+        self.norms = {s: {d: math.sqrt(v) for d, v in acc.items()} for s, acc in sumsq.items()}
 
     @property
     def n_docs(self) -> int:
@@ -112,12 +119,9 @@ class InvertedIndex:
         sp = self._space_of(term, space)
         return self._postings[sp].get(term, {})
 
-    def posting_docs(self, term: Term, space: str | None = None) -> set[str]:
-        return set(self.postings(term, space))
-
     def doc_vector(self, doc_id: str, space: str) -> dict[Term, float]:
         """tf.idf weights of one document in one vector space."""
-        if doc_id not in self._doc_set:
+        if doc_id not in self.doc_set:
             raise KeyError(f"unknown document {doc_id!r}")
         if space == "UNIFIED":
             vec: dict[Term, float] = {}
@@ -126,8 +130,8 @@ class InvertedIndex:
             return vec
         if space not in STORED_SPACES:
             raise ValueError(f"unknown term space {space!r}")
-        fwd = self._forward[space].get(doc_id, {})
-        return {t: tf * self.idf(t, space) for t, tf in fwd.items()}
+        sp = self._postings[space]
+        return {t: sp[t][doc_id] * self.idf(t, space) for t in sp if doc_id in sp[t]}
 
 
 def build_index(

@@ -13,6 +13,10 @@ The entity score is sum_s w_s * cos(d_s, q_s) over the four entity spaces;
 blended models score alpha * entity + (1 - alpha) * cos over the partitioned
 keyword space. A filter side the query does not populate imposes no
 constraint on an intersection and contributes nothing to a union.
+
+Every model is thus a weighted sum of per-space cosines: a query compiles
+once into ``(space, term, c)`` entries, and a document scores
+``sum c * tf(d, term) / |d|_space`` over the postings of those terms.
 """
 from __future__ import annotations
 
@@ -28,37 +32,42 @@ from .index import InvertedIndex
 from .termspace import ENTITY_SPACES, Term, query_terms
 
 WEIGHT_TOLERANCE = 1e-9
+# Scores are rounded to this many decimals, so that scores equal in exact
+# arithmetic but split by float rounding tie exactly and rank by doc id.
+SCORE_DECIMALS = 12
 
 
 class ModelKind(enum.Enum):
-    """The retrieval model family, named as on the command line."""
+    """The model table, one row per model, named as on the command line.
 
-    KW = "kw"
-    NE_O = "ne-o"
-    NE_N = "ne-n"
-    KW_AND_NE_O = "kw-and-ne-o"
-    KW_AND_NE_N = "kw-and-ne-n"
-    KW_OR_NE_O = "kw-or-ne-o"
-    KW_OR_NE_N = "kw-or-ne-n"
-    KW_PLUS_NE = "kw-plus-ne"
+    ``overlapped``: query annotations expand to all their feature levels, and
+    the entity side intersects its per-space posting sets (else unions them).
+    ``keyword_space``: the space the keyword filter side reads, or None.
+    ``entity_side``: whether the filter has an entity side.
+    ``conjunctive``: the filter sides combine by AND (else OR).
+    ``score``: one cosine in ``KW_FULL`` or ``UNIFIED``, the weighted
+    ``entity`` cosines, or their ``blend`` with the keyword cosine by alpha.
+    """
 
-    @property
-    def overlapped(self) -> bool:
-        """Whether query annotations expand to all their feature levels."""
-        return self in (ModelKind.NE_O, ModelKind.KW_AND_NE_O, ModelKind.KW_OR_NE_O)
+    #              name           overlapped keyword_space entity conjunctive score
+    KW =          ("kw",          False,     "KW_FULL",    False, False,      "KW_FULL")
+    NE_O =        ("ne-o",        True,      None,         True,  False,      "entity")
+    NE_N =        ("ne-n",        False,     None,         True,  False,      "entity")
+    KW_AND_NE_O = ("kw-and-ne-o", True,      "KW",         True,  True,       "blend")
+    KW_AND_NE_N = ("kw-and-ne-n", False,     "KW",         True,  True,       "blend")
+    KW_OR_NE_O =  ("kw-or-ne-o",  True,      "KW",         True,  False,      "blend")
+    KW_OR_NE_N =  ("kw-or-ne-n",  False,     "KW",         True,  False,      "blend")
+    KW_PLUS_NE =  ("kw-plus-ne",  False,     "KW",         True,  False,      "UNIFIED")
 
-    @property
-    def combines_keywords(self) -> bool:
-        return self in (
-            ModelKind.KW_AND_NE_O,
-            ModelKind.KW_AND_NE_N,
-            ModelKind.KW_OR_NE_O,
-            ModelKind.KW_OR_NE_N,
-        )
-
-    @property
-    def conjunctive(self) -> bool:
-        return self in (ModelKind.KW_AND_NE_O, ModelKind.KW_AND_NE_N)
+    def __new__(cls, value, overlapped, keyword_space, entity_side, conjunctive, score):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.overlapped = overlapped
+        member.keyword_space = keyword_space
+        member.entity_side = entity_side
+        member.conjunctive = conjunctive
+        member.score = score
+        return member
 
 
 ALL_MODELS = (
@@ -103,106 +112,94 @@ class RankedResult:
     score: float
 
 
-def _cosine(a: Mapping[Term, float], b: Mapping[Term, float]) -> float:
-    """Cosine of two sparse vectors; 0 when either is empty or all-zero."""
-    if not a or not b:
-        return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(w * b[t] for t, w in a.items() if t in b)
-    if dot == 0.0:
-        return 0.0
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    # Identical vectors can land a float ulp above 1.
-    return min(dot / (norm_a * norm_b), 1.0)
-
-
-def _query_vector(index: InvertedIndex, terms: Iterable[Term], space: str) -> dict[Term, float]:
-    """tf=1 query weights in one vector space; terms the index never saw drop out."""
-    if space == "UNIFIED":
-        chosen = sorted(terms)
-    elif space == "KW_FULL":
-        chosen = sorted(t for t in terms if t.space == "KW")
-    else:
-        chosen = sorted(t for t in terms if t.space == space)
-    vec = {t: index.idf(t, space) for t in chosen}
-    return {t: w for t, w in vec.items() if w > 0.0}
-
-
 def _model_terms(query: Query, index: InvertedIndex, model: ModelKind) -> set[Term]:
     terms = query_terms(query, index.kb, overlapped=model.overlapped)
-    keyword = {t for t in terms if t.space == "KW"}
-    entity = terms - keyword
-    if model is ModelKind.KW and not keyword:
+    if not model.entity_side and all(t.space != "KW" for t in terms):
         raise EmptyQueryError(f"query {query.query_id!r} has no keyword terms")
-    if model in (ModelKind.NE_O, ModelKind.NE_N) and not entity:
+    if model.keyword_space is None and all(t.space == "KW" for t in terms):
         raise EmptyQueryError(f"query {query.query_id!r} has no entity annotations")
     if not terms:
         raise EmptyQueryError(f"query {query.query_id!r} contributes no terms")
     return terms
 
 
-def _postings_union(index: InvertedIndex, terms: Iterable[Term], space: str | None) -> set[str]:
+def _postings_union(index: InvertedIndex, terms: Iterable[Term], space: str) -> set[str]:
     docs: set[str] = set()
     for term in terms:
-        docs.update(index.posting_docs(term, space))
+        docs.update(index.postings(term, space))
     return docs
 
 
-def _entity_filter(index: InvertedIndex, terms: set[Term], conjunctive: bool) -> set[str] | None:
-    """Per-space posting sets, intersected or unioned; None when no entity terms.
-
-    A space the query does not touch is skipped: an absent feature expresses
-    no constraint, so it must not empty the intersection.
-    """
-    per_space = []
-    for space in ENTITY_SPACES:
-        space_terms = [t for t in terms if t.space == space]
-        if space_terms:
-            per_space.append(_postings_union(index, space_terms, space))
-    if not per_space:
-        return None
-    if conjunctive:
-        return set.intersection(*per_space)
-    return set.union(*per_space)
+def _candidates(index: InvertedIndex, terms: set[Term], model: ModelKind) -> set[str]:
+    by_space: dict[str, list[Term]] = {}
+    for term in terms:
+        by_space.setdefault(term.space, []).append(term)
+    sides = []
+    if model.keyword_space is not None and "KW" in by_space:
+        sides.append(_postings_union(index, by_space["KW"], model.keyword_space))
+    # A space the query does not touch is skipped: an absent feature expresses
+    # no constraint, so it must not empty the intersection.
+    entity = [
+        _postings_union(index, by_space[s], s)
+        for s in ENTITY_SPACES
+        if model.entity_side and s in by_space
+    ]
+    if entity:
+        sides.append(set.intersection(*entity) if model.overlapped else set.union(*entity))
+    if not sides:
+        return set()
+    return set.intersection(*sides) if model.conjunctive else set.union(*sides)
 
 
 def filter_documents(index: InvertedIndex, query: Query, model: ModelKind) -> set[str]:
     """Boolean first stage: the candidate set the model is allowed to rank."""
-    terms = _model_terms(query, index, model)
-    keyword = {t for t in terms if t.space == "KW"}
-
-    if model is ModelKind.KW:
-        return _postings_union(index, keyword, "KW_FULL")
-    if model is ModelKind.KW_PLUS_NE:
-        return _postings_union(index, terms, None)
-
-    ne_set = _entity_filter(index, terms - keyword, conjunctive=model.overlapped)
-    if model in (ModelKind.NE_O, ModelKind.NE_N):
-        return ne_set if ne_set is not None else set()
-
-    # Combined models: either side may be unpopulated and then drops out.
-    sides = []
-    if keyword:
-        sides.append(_postings_union(index, keyword, "KW"))
-    if ne_set is not None:
-        sides.append(ne_set)
-    if model.conjunctive:
-        return set.intersection(*sides)
-    return set.union(*sides)
+    return _candidates(index, _model_terms(query, index, model), model)
 
 
-def _entity_score(
-    index: InvertedIndex, doc_id: str, terms: set[Term], config: ModelConfig
-) -> float:
-    total = 0.0
-    for space, weight in config.space_weights.items():
-        qv = _query_vector(index, terms, space)
-        total += weight * _cosine(index.doc_vector(doc_id, space), qv)
-    return total
+def _space_weights(model: ModelKind, config: ModelConfig) -> dict[str, float]:
+    """The vector spaces whose cosines the model sums, each with its weight."""
+    if model.score == "entity":
+        return config.space_weights
+    if model.score == "blend":
+        weights = {s: config.alpha * w for s, w in config.space_weights.items()}
+        weights["KW"] = 1.0 - config.alpha
+        return weights
+    return {model.score: 1.0}
+
+
+def _plan(
+    index: InvertedIndex, terms: set[Term], model: ModelKind, config: ModelConfig
+) -> list[tuple[str, Term, float]]:
+    """``(space, term, c)`` entries with c = weight * idf_q * idf_d / |q|_space.
+
+    Query weights are tf=1 times idf; terms the index never saw drop out.
+    """
+    plan = []
+    for space, weight in _space_weights(model, config).items():
+        home = "KW" if space == "KW_FULL" else space
+        idfs = [
+            (t, index.idf(t, space))
+            for t in sorted(terms)
+            if space == "UNIFIED" or t.space == home
+        ]
+        idfs = [(t, w) for t, w in idfs if w > 0.0]
+        query_norm = math.sqrt(sum(w * w for _, w in idfs))
+        plan.extend((space, t, weight * w * w / query_norm) for t, w in idfs)
+    return plan
+
+
+def _accumulate(
+    index: InvertedIndex, plan: list[tuple[str, Term, float]], doc_ids: Iterable[str]
+) -> dict[str, float]:
+    """Term-at-a-time scores of ``doc_ids``, clamped to 1 and rounded."""
+    scores = dict.fromkeys(doc_ids, 0.0)
+    for space, term, c in plan:
+        norms = index.norms[space]
+        for doc_id, tf in index.postings(term, space).items():
+            if doc_id in scores:
+                scores[doc_id] += c * tf / norms[doc_id]
+    # A perfect match can land a float ulp above 1.
+    return {d: round(min(s, 1.0), SCORE_DECIMALS) for d, s in scores.items()}
 
 
 def score(
@@ -213,23 +210,11 @@ def score(
     config: ModelConfig | None = None,
 ) -> float:
     """Similarity of one document to the query under one model, in [0, 1]."""
-    config = config or ModelConfig()
+    if doc_id not in index.doc_set:
+        raise KeyError(f"unknown document {doc_id!r}")
     terms = query_terms(query, index.kb, overlapped=model.overlapped)
-
-    if model is ModelKind.KW:
-        qv = _query_vector(index, terms, "KW_FULL")
-        return _cosine(index.doc_vector(doc_id, "KW_FULL"), qv)
-    if model is ModelKind.KW_PLUS_NE:
-        qv = _query_vector(index, terms, "UNIFIED")
-        return _cosine(index.doc_vector(doc_id, "UNIFIED"), qv)
-
-    entity = _entity_score(index, doc_id, terms, config)
-    if model in (ModelKind.NE_O, ModelKind.NE_N):
-        return entity
-    kw_cos = _cosine(
-        index.doc_vector(doc_id, "KW"), _query_vector(index, terms, "KW")
-    )
-    return config.alpha * entity + (1.0 - config.alpha) * kw_cos
+    plan = _plan(index, terms, model, config or ModelConfig())
+    return _accumulate(index, plan, (doc_id,))[doc_id]
 
 
 def search(
@@ -242,14 +227,11 @@ def search(
     """Filter, score, and rank; ties break by ascending document id."""
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
-    config = config or ModelConfig()
-    candidates = filter_documents(index, query, model)
-    results = [
-        RankedResult(doc_id, score(index, query, doc_id, model, config))
-        for doc_id in sorted(candidates)
-    ]
-    results.sort(key=lambda r: (-r.score, r.doc_id))
-    return results[:top_k]
+    terms = _model_terms(query, index, model)
+    plan = _plan(index, terms, model, config or ModelConfig())
+    scores = _accumulate(index, plan, _candidates(index, terms, model))
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return [RankedResult(doc_id, s) for doc_id, s in ranked[:top_k]]
 
 
 def write_run_file(

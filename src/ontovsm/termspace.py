@@ -18,7 +18,7 @@ term per specified feature (overlapped) or the single most specific term
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import AnnotatedDocument, Annotation, Query
 from .ontology import ClassTaxonomy, KnowledgeBase
@@ -28,8 +28,7 @@ TERM_SPACES = ("N", "C", "NC", "I", "KW")
 ENTITY_SPACES = ("N", "C", "NC", "I")
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+class Term(NamedTuple):
     """One dimension of a term space.
 
     ``secondary`` is empty except in the NC space, where ``primary`` holds the

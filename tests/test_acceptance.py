@@ -11,8 +11,9 @@ import corpusgen
 from oracle import Oracle
 from ontovsm.cli import main
 from ontovsm.corpus import ingest_document, query_from_record, tokenize
+from ontovsm.errors import EmptyQueryError
 from ontovsm.evaluation import evaluate_runs, f_measure, interpolate_11pt, pr_points, Qrels
-from ontovsm.index import build_index
+from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import (
     ALL_MODELS,
@@ -117,6 +118,34 @@ def test_criterion_2_reference_scorer_agreement():
                 for doc_id, got in engine.items():
                     assert got == pytest.approx(reference[doc_id], abs=1e-9)
         assert check.elapsed < 10.0
+
+
+def _search_or_empty(index, query, model):
+    try:
+        return search(index, query, model)
+    except EmptyQueryError:
+        return []
+
+
+def test_ranked_order_matches_oracle_at_scale(tmp_path):
+    """At 200 documents float rounding splits exact ties; the ranked order
+    must still follow the rounded oracle scores, then ascending doc id, and
+    a saved and reloaded index must rank identically."""
+    data = corpusgen.synthetic_dataset(seed=7, n_docs=200, n_queries=12)
+    _, _, index, queries = _load(data)
+    save_index(index, tmp_path / "ix")
+    loaded = load_index(tmp_path / "ix")
+    oracle = Oracle(data["taxonomy"], data["kb"], data["docs"])
+    for record, query in zip(data["queries"], queries):
+        for model in ALL_MODELS:
+            results = _search_or_empty(index, query, model)
+            expected = sorted(
+                oracle.search(record, model.value), key=lambda p: (-round(p[1], 12), p[0])
+            )
+            assert [r.doc_id for r in results] == [doc_id for doc_id, _ in expected]
+            for result, (_, expected_score) in zip(results, expected):
+                assert result.score == pytest.approx(expected_score, abs=1e-9)
+            assert _search_or_empty(loaded, query, model) == results
 
 
 def test_criterion_3_reduction_identities():

@@ -91,6 +91,20 @@ class TestIngestDocument:
         }
         doc = ingest_document(record, kb, taxonomy)
         assert doc.keyword_tokens == ("flows",)
+        # Spans are half-open: "flows" ends where the gap span starts and
+        # "into" starts where it ends, so both stay keywords; the last span
+        # cuts into both "Hanoi" and "and".
+        record = {
+            "doc_id": "y",
+            "text": "Saigon flows into Hanoi and Paris",
+            "annotations": [
+                {"start": 20, "end": 26, "name": "noi an"},
+                {"start": 0, "end": 3, "name": "Sai"},
+                {"start": 12, "end": 13, "name": "gap"},
+            ],
+        }
+        doc = ingest_document(record, kb, taxonomy)
+        assert doc.keyword_tokens == ("flows", "into", "paris")
 
     def test_no_annotations(self, kb, taxonomy):
         doc = ingest_document(corpusgen.CITY_DOC_RECORDS[2], kb, taxonomy)

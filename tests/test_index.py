@@ -53,7 +53,7 @@ class TestBuild:
 
     def test_postings(self, city_index):
         assert city_index.postings(name_term("Saigon")) == {"d1": 1, "d2": 1}
-        assert city_index.posting_docs(keyword_term("growing")) == {"d1", "d3"}
+        assert set(city_index.postings(keyword_term("growing"))) == {"d1", "d3"}
         assert city_index.postings(keyword_term("paris")) == {}
 
     def test_terms_sorted(self, city_index):

@@ -50,8 +50,6 @@ class TestModelKind:
     def test_flags(self):
         assert ModelKind.NE_O.overlapped and not ModelKind.NE_N.overlapped
         assert not ModelKind.KW_PLUS_NE.overlapped
-        assert ModelKind.KW_AND_NE_N.combines_keywords
-        assert not ModelKind.KW.combines_keywords
         assert ModelKind.KW_AND_NE_O.conjunctive
         assert not ModelKind.KW_OR_NE_O.conjunctive
 
