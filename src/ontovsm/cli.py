@@ -32,7 +32,7 @@ from .index import (
     save_index,
 )
 from .ontology import read_jsonl, read_kb_file, read_taxonomy_file
-from .retrieval import ALL_MODELS, ModelConfig, ModelKind, search, write_run_file
+from .retrieval import ALL_MODELS, ModelConfig, ModelKind, RankedResult, search, write_run_file
 from .termspace import TERM_SPACES
 
 
@@ -125,9 +125,10 @@ def _search_all(
     config: ModelConfig,
     top_k: int,
     run_dir: Path,
-) -> list[Path]:
+) -> list[tuple[Path, dict[str, list[RankedResult]]]]:
+    """Search every model and write its run file; returns each file with its runs."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
+    written = []
     for model in models:
         runs = {}
         for query in queries:
@@ -138,8 +139,8 @@ def _search_all(
                 print(f"warning: {model.value}: {exc}", file=sys.stderr)
         path = run_dir / f"{model.value}.run"
         write_run_file(runs, model.value, path)
-        paths.append(path)
-    return paths
+        written.append((path, runs))
+    return written
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
@@ -175,8 +176,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     config = _model_config(args)  # reject bad weights before touching the index
     index = load_index(args.index)
     queries = load_queries(args.queries, index.kb, index.taxonomy, index.stopwords)
-    paths = _search_all(index, queries, args.models, config, args.top_k, Path(args.out))
-    for path in paths:
+    written = _search_all(index, queries, args.models, config, args.top_k, Path(args.out))
+    for path, _ in written:
         print(f"wrote {path}")
     return 0
 
@@ -202,9 +203,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     print(_summary_line(index))
     queries = load_queries(args.queries, index.kb, index.taxonomy, index.stopwords)
     out_dir = Path(args.out)
-    run_paths = _search_all(index, queries, args.models, config, args.top_k, out_dir / "runs")
+    written = _search_all(index, queries, args.models, config, args.top_k, out_dir / "runs")
     qrels = load_qrels(args.qrels)
-    runs_by_model = {path.stem: load_run_file(path) for path in run_paths}
+    # The runs as load_run_file would read the files back: a query with no
+    # results writes no line, so it is left out, and ids hold no whitespace,
+    # so each line splits back into the same ids.
+    runs_by_model = {
+        path.stem: {q: [r.doc_id for r in results] for q, results in runs.items() if results}
+        for path, runs in written
+    }
     rep = evaluation.report(runs_by_model, qrels, out_dir, InterpMode(args.interp))
     print(f"evaluated {len(rep.curves)} models over {rep.query_count} queries -> {out_dir}")
     return 0

@@ -74,6 +74,11 @@ class Query:
     annotations: tuple[Annotation, ...]
 
 
+def is_plain_id(value) -> bool:
+    """A non-empty string without whitespace, at which run and qrels lines split."""
+    return isinstance(value, str) and value.split() == [value]
+
+
 def _clean_field(value) -> str | None:
     # External records may omit an unspecified feature or spell it "*".
     if value is None or value == "*":
@@ -162,6 +167,8 @@ def ingest_document(
     doc_id = record.get("doc_id")
     if not isinstance(doc_id, str) or not doc_id:
         raise CorpusError(f"document record without a doc_id: {record!r}")
+    if not is_plain_id(doc_id):
+        raise CorpusError(f"doc_id {doc_id!r} contains whitespace")
     text = record.get("text", "")
     if not isinstance(text, str):
         raise CorpusError(f"document {doc_id!r} has a non-string text")
@@ -211,6 +218,8 @@ def query_from_record(
     query_id = record.get("query_id")
     if not isinstance(query_id, str) or not query_id:
         raise CorpusError(f"query record without a query_id: {record!r}")
+    if not is_plain_id(query_id):
+        raise CorpusError(f"query_id {query_id!r} contains whitespace")
     raw_keywords = record.get("keywords", [])
     if not isinstance(raw_keywords, list) or not all(isinstance(k, str) for k in raw_keywords):
         raise CorpusError(f"query {query_id!r} has a malformed keywords list")

@@ -11,7 +11,9 @@ sparse runs never produce spurious zeros.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -46,6 +48,10 @@ class Qrels:
 
     def is_relevant(self, query_id: str, doc_id: str) -> bool:
         return self._judgments.get(query_id, {}).get(doc_id, False)
+
+    def judgments(self, query_id: str) -> Mapping[str, bool]:
+        """The query's judgments by document; empty for an unjudged query."""
+        return self._judgments.get(query_id, {})
 
 
 def load_qrels(path: str | Path) -> Qrels:
@@ -102,10 +108,11 @@ def pr_points(
     total = qrels.relevant_count(query_id)
     if total == 0:
         raise EvalError(f"query {query_id!r} has no relevant documents")
+    judged = qrels.judgments(query_id)
     points = []
     seen = 0
     for rank, doc_id in enumerate(ranked_doc_ids, start=1):
-        if qrels.is_relevant(query_id, doc_id):
+        if judged.get(doc_id, False):
             seen += 1
         points.append((seen / total, seen / rank))
     return points
@@ -114,16 +121,23 @@ def pr_points(
 def interpolate_11pt(
     points: Sequence[tuple[float, float]], mode: InterpMode = InterpMode.STANDARD
 ) -> tuple[float, ...]:
-    """Interpolated precision at the eleven standard recall levels."""
-    standard = tuple(
-        max((p for r, p in points if r >= level), default=0.0) for level in RECALL_LEVELS
-    )
+    """Interpolated precision at the eleven standard recall levels.
+
+    ``points`` must be in rank order, as ``pr_points`` gives them. Recall never
+    decreases down a ranking, so the points at or beyond a level are a suffix
+    and the points inside a window a slice, both found by bisection.
+    """
+    recalls = [r for r, _ in points]
+    precisions = [p for _, p in points]
+    # ceiling[i]: the best precision at rank i + 1 or below it.
+    ceiling = list(accumulate(reversed(precisions), max))[::-1] + [0.0]
+    standard = tuple(ceiling[bisect_left(recalls, level)] for level in RECALL_LEVELS)
     if mode is InterpMode.STANDARD:
         return standard
     windowed = []
     for j, level in enumerate(RECALL_LEVELS):
         upper = RECALL_LEVELS[min(j + 1, 10)]
-        window = [p for r, p in points if level <= r <= upper]
+        window = precisions[bisect_left(recalls, level) : bisect_right(recalls, upper)]
         windowed.append(max(window) if window else standard[j])
     return tuple(windowed)
 

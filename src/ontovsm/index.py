@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .corpus import AnnotatedDocument, tokenize
+from .corpus import AnnotatedDocument, is_plain_id, tokenize
 from .errors import IndexFormatError
 from .ontology import (
     ClassTaxonomy,
@@ -231,6 +231,9 @@ def load_index(path: str | Path) -> InvertedIndex:
     doc_ids = stats.get("doc_ids")
     if not isinstance(doc_ids, list):
         raise IndexFormatError(f"{path}: stats.json lacks a doc_ids list")
+    for doc_id in doc_ids:
+        if not is_plain_id(doc_id):
+            raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
     doc_set = set(doc_ids)
 
     term_space: dict[int, tuple[str, Term]] = {}

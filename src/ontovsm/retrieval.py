@@ -23,8 +23,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .corpus import Query
 from .errors import ConfigError, EmptyQueryError
@@ -94,6 +95,8 @@ class ModelConfig:
 
     def __post_init__(self):
         weights = (self.w_n, self.w_c, self.w_nc, self.w_i)
+        if not all(math.isfinite(v) for v in (*weights, self.alpha)):
+            raise ConfigError(f"weights and alpha must be finite, got {weights}, {self.alpha!r}")
         if any(w < 0 for w in weights):
             raise ConfigError(f"entity weights must be non-negative, got {weights}")
         if abs(sum(weights) - 1.0) > WEIGHT_TOLERANCE:
@@ -106,8 +109,7 @@ class ModelConfig:
         return {"N": self.w_n, "C": self.w_c, "NC": self.w_nc, "I": self.w_i}
 
 
-@dataclass(frozen=True)
-class RankedResult:
+class RankedResult(NamedTuple):
     doc_id: str
     score: float
 
@@ -198,8 +200,8 @@ def _accumulate(
         for doc_id, tf in index.postings(term, space).items():
             if doc_id in scores:
                 scores[doc_id] += c * tf / norms[doc_id]
-    # A perfect match can land a float ulp above 1.
-    return {d: round(min(s, 1.0), SCORE_DECIMALS) for d, s in scores.items()}
+    # A perfect match can land a float ulp above 1; clamp it to exactly 1.
+    return {d: round(s, SCORE_DECIMALS) if s < 1.0 else 1.0 for d, s in scores.items()}
 
 
 def score(
@@ -230,8 +232,9 @@ def search(
     terms = _model_terms(query, index, model)
     plan = _plan(index, terms, model, config or ModelConfig())
     scores = _accumulate(index, plan, _candidates(index, terms, model))
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return [RankedResult(doc_id, s) for doc_id, s in ranked[:top_k]]
+    ranked = sorted(scores.items())
+    ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties keep doc id order
+    return list(map(RankedResult._make, ranked[:top_k]))
 
 
 def write_run_file(
@@ -242,8 +245,8 @@ def write_run_file(
         with open(out, "w", encoding="utf-8") as fh:
             write_run_file(runs, model_tag, fh)
         return
+    # One write per query, from a %-template with the query id and tag baked in.
+    tag = model_tag.replace("%", "%%")
     for query_id, results in runs.items():
-        for rank, result in enumerate(results, start=1):
-            out.write(
-                f"{query_id} Q0 {result.doc_id} {rank} {result.score:.6f} {model_tag}\n"
-            )
+        line = query_id.replace("%", "%%") + " Q0 %s %d %.6f " + tag + "\n"
+        out.write("".join([line % (r.doc_id, rank, r.score) for rank, r in enumerate(results, 1)]))

@@ -2,11 +2,17 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 import corpusgen
 from ontovsm.corpus import ingest_document, query_from_record
 from ontovsm.index import build_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
+
+# Shared hosts can run several times slower for a while, so a per-example
+# deadline would fail tests on timing alone.
+settings.register_profile("ontovsm", deadline=None)
+settings.load_profile("ontovsm")
 
 
 def write_jsonl(path, records):

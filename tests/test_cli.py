@@ -6,6 +6,7 @@ import pytest
 import corpusgen
 from conftest import write_jsonl
 from ontovsm.cli import main
+from ontovsm.retrieval import ALL_MODELS
 
 
 @pytest.fixture
@@ -169,6 +170,15 @@ class TestSearch:
         assert rc == 2
         assert "sum" in capsys.readouterr().err
 
+    def test_nan_weight_fails(self, data_dir, capsys):
+        rc = main([
+            "search", "--index", str(data_dir / "never-built"),
+            "--queries", str(data_dir / "queries.jsonl"),
+            "--out", str(data_dir / "runs"), "--weights", "nan,0,0,1",
+        ])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_negative_top_k_rejected_by_parser(self, data_dir):
         with pytest.raises(SystemExit):
             main([
@@ -282,6 +292,39 @@ class TestCompare:
         assert sorted(p.name for p in (out_dir / "runs").iterdir()) == ["kw.run", "ne-n.run"]
         assert (data_dir / "saved-ix" / "stats.json").exists()
 
+    @pytest.mark.parametrize("interp", ["standard", "windowed"])
+    def test_reports_match_eval_over_written_runs(self, data_dir, capsys, interp):
+        # q2 is judged and q3 unjudged; neither has a result under any model.
+        write_jsonl(data_dir / "queries.jsonl", [
+            corpusgen.UN_QUERY_RECORD,
+            {"query_id": "q2", "keywords": ["zzunseen"]},
+            {"query_id": "q3", "keywords": ["zzalsounseen"]},
+        ])
+        with open(data_dir / "qrels.txt", "a", encoding="utf-8") as fh:
+            fh.write("q2 0 d3 1\n")
+        out_dir = data_dir / "cmp"
+        assert main([
+            "compare", *base_args(data_dir),
+            "--queries", str(data_dir / "queries.jsonl"),
+            "--qrels", str(data_dir / "qrels.txt"),
+            "--out", str(out_dir), "--interp", interp,
+        ]) == 0
+        assert "evaluated 8 models over 2 queries" in capsys.readouterr().out
+        run_paths = [out_dir / "runs" / f"{m.value}.run" for m in ALL_MODELS]
+        run_queries = {line.split()[0] for p in run_paths for line in p.read_text().splitlines()}
+        assert run_queries == {"q1"}
+        eval_dir = data_dir / "eval"
+        assert main([
+            "eval", *map(str, run_paths), "--qrels", str(data_dir / "qrels.txt"),
+            "--out", str(eval_dir), "--interp", interp,
+        ]) == 0
+        reports = [
+            {str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*.csv")}
+            for d in (out_dir, eval_dir)
+        ]
+        assert len(reports[0]) == 2 + len(ALL_MODELS)
+        assert reports[0] == reports[1]
+
     def test_repeat_runs_are_byte_identical(self, data_dir):
         outputs = []
         for name in ("one", "two"):
@@ -295,6 +338,57 @@ class TestCompare:
             files = sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if p.is_file())
             outputs.append({str(p): (out_dir / p).read_bytes() for p in files})
         assert outputs[0] == outputs[1]
+
+
+class TestIdsWithWhitespace:
+    """Run and qrels lines split at whitespace, so ids must not contain any."""
+
+    def assert_one_error_line(self, rc, capsys, bad_id):
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert repr(bad_id) in lines[0]
+
+    def write_spaced_doc_id(self, data_dir):
+        records = [dict(corpusgen.UN_DOC_RECORDS[0], doc_id="d 0x"), *corpusgen.UN_DOC_RECORDS[1:]]
+        write_jsonl(data_dir / "corpus.jsonl", records)
+
+    def test_build_index(self, data_dir, capsys):
+        self.write_spaced_doc_id(data_dir)
+        rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
+        self.assert_one_error_line(rc, capsys, "d 0x")
+
+    def test_compare(self, data_dir, capsys):
+        self.write_spaced_doc_id(data_dir)
+        rc = main([
+            "compare", *base_args(data_dir),
+            "--queries", str(data_dir / "queries.jsonl"),
+            "--qrels", str(data_dir / "qrels.txt"),
+            "--out", str(data_dir / "cmp"),
+        ])
+        self.assert_one_error_line(rc, capsys, "d 0x")
+
+    def test_search_query_id(self, data_dir, capsys):
+        index_dir = build(data_dir)
+        capsys.readouterr()
+        write_jsonl(data_dir / "queries.jsonl", [dict(corpusgen.UN_QUERY_RECORD, query_id="q\t1")])
+        rc = main([
+            "search", "--index", str(index_dir),
+            "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
+        ])
+        self.assert_one_error_line(rc, capsys, "q\t1")
+
+    def test_search_index_doc_id(self, data_dir, capsys):
+        index_dir = build(data_dir)
+        capsys.readouterr()
+        for name in ("stats.json", "postings.jsonl"):
+            path = index_dir / name
+            path.write_text(path.read_text().replace('"d1"', '"d 0x"'))
+        rc = main([
+            "search", "--index", str(index_dir),
+            "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
+        ])
+        self.assert_one_error_line(rc, capsys, "d 0x")
 
 
 class TestDumpIndex:

@@ -1,5 +1,6 @@
 """Index construction, statistics, persistence, and dumping."""
 import io
+import json
 import math
 
 import pytest
@@ -169,6 +170,17 @@ class TestPersistence:
         path = tmp_path / "ix" / "postings.jsonl"
         path.write_text(path.read_text().replace('"d1"', '"d9"'))
         with pytest.raises(IndexFormatError, match="unknown document"):
+            load_index(tmp_path / "ix")
+
+    @pytest.mark.parametrize("bad_id", ["d 1", "d1\n", "", 7, None])
+    def test_malformed_doc_id_in_stats(self, tmp_path, city_index, bad_id):
+        # Run and qrels lines split at whitespace, so such an id could not be read back.
+        save_index(city_index, tmp_path / "ix")
+        path = tmp_path / "ix" / "stats.json"
+        stats = json.loads(path.read_text())
+        stats["doc_ids"][0] = bad_id
+        path.write_text(json.dumps(stats))
+        with pytest.raises(IndexFormatError, match="malformed doc id"):
             load_index(tmp_path / "ix")
 
     def test_corrupt_stats_json(self, tmp_path, city_index):

@@ -285,6 +285,12 @@ class TestRunFile:
         assert lines[0] == f"q1 Q0 d2 1 {results[0].score:.6f} ne-o"
         assert lines[1] == f"q1 Q0 d1 2 {results[1].score:.6f} ne-o"
 
+    def test_percent_signs_written_verbatim(self):
+        # Lines come from a %-template, so ids and tags must not act as directives.
+        out = io.StringIO()
+        write_run_file({"q%d": [RankedResult("d%s", 0.5)]}, "m%%", out)
+        assert out.getvalue() == "q%d Q0 d%s 1 0.500000 m%%\n"
+
     def test_empty_result_writes_no_lines(self):
         out = io.StringIO()
         write_run_file({"q1": []}, "kw", out)
