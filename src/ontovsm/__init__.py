@@ -15,10 +15,11 @@ from .corpus import (
     Annotation,
     GazetteerAnnotator,
     Query,
-    gazetteer_annotate,
+    ingest_document,
     load_corpus,
     load_queries,
     load_stopword_file,
+    query_from_record,
     tokenize,
 )
 from .errors import (

@@ -338,8 +338,3 @@ class GazetteerAnnotator:
             if not matched:
                 i += 1
         return out
-
-
-def gazetteer_annotate(text: str, kb: KnowledgeBase) -> list[Annotation]:
-    """One-shot convenience wrapper around :class:`GazetteerAnnotator`."""
-    return GazetteerAnnotator(kb).annotate(text)

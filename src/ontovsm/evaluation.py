@@ -46,9 +46,6 @@ class Qrels:
     def relevant_count(self, query_id: str) -> int:
         return sum(self._judgments.get(query_id, {}).values())
 
-    def is_relevant(self, query_id: str, doc_id: str) -> bool:
-        return self._judgments.get(query_id, {}).get(doc_id, False)
-
     def judgments(self, query_id: str) -> Mapping[str, bool]:
         """The query's judgments by document; empty for an unjudged query."""
         return self._judgments.get(query_id, {})

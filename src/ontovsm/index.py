@@ -34,9 +34,14 @@ STORED_SPACES = ("N", "C", "NC", "I", "KW", "KW_FULL")
 VECTOR_SPACES = STORED_SPACES + ("UNIFIED",)
 
 INDEX_FORMAT = "ontovsm-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 Postings = Mapping[str, Mapping[Term, Mapping[str, int]]]
+
+
+def home_space(space: str) -> str:
+    """The space of the terms stored under ``space``: ``KW_FULL`` holds ``KW`` terms."""
+    return "KW" if space == "KW_FULL" else space
 
 
 class InvertedIndex:
@@ -84,30 +89,28 @@ class InvertedIndex:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def _space_of(self, term: Term, space: str | None) -> str:
+    def _space_of(self, term: Term, space: str | None) -> dict[Term, dict[str, int]]:
         # UNIFIED holds no terms of its own; statistics come from the term's
         # home space, which is what merging disjoint partitions preserves.
         if space is None or space == "UNIFIED":
-            return term.space
+            space = term.space
+        elif space not in STORED_SPACES:
+            raise ValueError(f"unknown term space {space!r}")
+        return self._postings[space]
+
+    def _stored(self, space: str) -> dict[Term, dict[str, int]]:
         if space not in STORED_SPACES:
             raise ValueError(f"unknown term space {space!r}")
-        return space
+        return self._postings[space]
 
     def term_count(self, space: str) -> int:
-        if space == "UNIFIED":
-            return sum(len(self._postings[s]) for s in TERM_SPACES)
-        if space not in STORED_SPACES:
-            raise ValueError(f"unknown term space {space!r}")
-        return len(self._postings[space])
+        return len(self._stored(space))
 
     def terms(self, space: str) -> list[Term]:
-        if space not in STORED_SPACES:
-            raise ValueError(f"unknown term space {space!r}")
-        return list(self._postings[space])
+        return list(self._stored(space))
 
     def df(self, term: Term, space: str | None = None) -> int:
-        sp = self._space_of(term, space)
-        return len(self._postings[sp].get(term, ()))
+        return len(self._space_of(term, space).get(term, ()))
 
     def idf(self, term: Term, space: str | None = None) -> float:
         d = self.df(term, space)
@@ -116,22 +119,7 @@ class InvertedIndex:
         return math.log(1.0 + self.n_docs / d)
 
     def postings(self, term: Term, space: str | None = None) -> dict[str, int]:
-        sp = self._space_of(term, space)
-        return self._postings[sp].get(term, {})
-
-    def doc_vector(self, doc_id: str, space: str) -> dict[Term, float]:
-        """tf.idf weights of one document in one vector space."""
-        if doc_id not in self.doc_set:
-            raise KeyError(f"unknown document {doc_id!r}")
-        if space == "UNIFIED":
-            vec: dict[Term, float] = {}
-            for s in TERM_SPACES:
-                vec.update(self.doc_vector(doc_id, s))
-            return vec
-        if space not in STORED_SPACES:
-            raise ValueError(f"unknown term space {space!r}")
-        sp = self._postings[space]
-        return {t: sp[t][doc_id] * self.idf(t, space) for t in sp if doc_id in sp[t]}
+        return self._space_of(term, space).get(term, {})
 
 
 def build_index(
@@ -165,23 +153,18 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    term_rows = []
-    posting_rows = []
-    tid = 0
-    for space in STORED_SPACES:
-        for term, plist in index._postings[space].items():
-            term_rows.append(
-                {
-                    "tid": tid,
-                    "space": space,
-                    "term": [term.space, term.primary, term.secondary],
-                    "df": len(plist),
-                }
-            )
-            posting_rows.append({"tid": tid, "postings": [[d, tf] for d, tf in plist.items()]})
-            tid += 1
-    _write_jsonl(path / "terms.jsonl", term_rows)
-    _write_jsonl(path / "postings.jsonl", posting_rows)
+    _write_jsonl(
+        path / "postings.jsonl",
+        (
+            {
+                "space": space,
+                "term": [term.primary, term.secondary],
+                "postings": [[d, tf] for d, tf in plist.items()],
+            }
+            for space in STORED_SPACES
+            for term, plist in index._postings[space].items()
+        ),
+    )
     _write_jsonl(
         path / "taxonomy.jsonl",
         [
@@ -236,26 +219,23 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
     doc_set = set(doc_ids)
 
-    term_space: dict[int, tuple[str, Term]] = {}
-    for row in read_jsonl(path / "terms.jsonl", IndexFormatError):
-        try:
-            term_space[row["tid"]] = (row["space"], Term(*row["term"]))
-        except (KeyError, TypeError):
-            raise IndexFormatError(f"{path}: malformed term row {row!r}") from None
-
     postings: dict[str, dict[Term, dict[str, int]]] = {s: {} for s in STORED_SPACES}
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
         try:
-            space, term = term_space[row["tid"]]
+            space, term = row["space"], row["term"]
             plist = {doc: tf for doc, tf in row["postings"]}
         except (KeyError, TypeError, ValueError):
             raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
+        if not (
+            isinstance(term, list) and len(term) == 2 and all(isinstance(p, str) for p in term)
+        ):
+            raise IndexFormatError(f"{path}: malformed posting row {row!r}")
         if space not in STORED_SPACES:
             raise IndexFormatError(f"{path}: unknown term space {space!r}")
         for doc in plist:
             if doc not in doc_set:
                 raise IndexFormatError(f"{path}: posting names unknown document {doc!r}")
-        postings[space][term] = plist
+        postings[space][Term(home_space(space), *term)] = plist
 
     return InvertedIndex(doc_ids, postings, kb, taxonomy, stats.get("stopwords", ()))
 

@@ -6,8 +6,8 @@ are safe for unrestricted concurrent reads.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -32,35 +32,20 @@ class ClassTaxonomy:
                     raise TaxonomyError(f"class {child!r} names undeclared parent {p!r}")
         self._ancestors = self._closure()
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(p) for p in self.parents.values())
-
     def _closure(self) -> dict[str, frozenset[str]]:
-        # Kahn's algorithm: process parents before children so each ancestor
-        # set is the union of the parents' sets. Leftover nodes mean a cycle.
-        children: dict[str, list[str]] = {c: [] for c in self.classes}
-        pending = {c: len(self.parents[c]) for c in self.classes}
-        for child, parents in self.parents.items():
-            for p in parents:
-                children[p].append(child)
-
+        # Parents come before children, so each ancestor set is the union of
+        # the parents' sets. Sorted parents make the order, and so the class a
+        # cycle error names, independent of set iteration order.
+        graph = {c: sorted(parents) for c, parents in self.parents.items()}
         closed: dict[str, frozenset[str]] = {}
-        queue = deque(sorted(c for c, n in pending.items() if n == 0))
-        while queue:
-            c = queue.popleft()
-            anc = {c}
-            for p in self.parents[c]:
-                anc.update(closed[p])
-            closed[c] = frozenset(anc)
-            for child in children[c]:
-                pending[child] -= 1
-                if pending[child] == 0:
-                    queue.append(child)
-
-        if len(closed) != len(self.classes):
-            stuck = sorted(c for c in self.classes if c not in closed)
-            raise TaxonomyError(f"cycle detected in class taxonomy involving {stuck[0]!r}")
+        try:
+            for c in TopologicalSorter(graph).static_order():
+                closed[c] = frozenset({c}.union(*(closed[p] for p in graph[c])))
+        except CycleError as exc:
+            cycle = exc.args[1]
+            raise TaxonomyError(
+                f"cycle detected in class taxonomy involving {min(cycle)!r}"
+            ) from None
         return closed
 
     def __contains__(self, class_id: str) -> bool:
@@ -72,12 +57,6 @@ class ClassTaxonomy:
             return self._ancestors[class_id]
         except KeyError:
             raise KeyError(f"unknown class: {class_id!r}") from None
-
-    def is_subclass(self, sub: str, sup: str) -> bool:
-        """True iff ``sup`` is an ancestor of ``sub`` (reflexive)."""
-        if sup not in self.classes:
-            raise KeyError(f"unknown class: {sup!r}")
-        return sup in self.ancestors(sub)
 
 
 @dataclass(frozen=True)
@@ -101,15 +80,15 @@ class EntityRecord:
 
 
 class KnowledgeBase:
-    """Entity records plus the inverse alias index.
+    """Entity records keyed by identifier.
 
-    Name lookup is case-insensitive (case-folded at load and at query time).
+    Aliases compare case-insensitively: no entity may repeat one under case
+    folding, though two entities may share one.
     """
 
     def __init__(self, records: Iterable[EntityRecord], taxonomy: ClassTaxonomy):
         self.taxonomy = taxonomy
         self.entities: dict[str, EntityRecord] = {}
-        name_index: dict[str, set[str]] = {}
         for rec in records:
             if rec.identifier in self.entities:
                 raise KnowledgeBaseError(f"duplicate entity identifier {rec.identifier!r}")
@@ -119,15 +98,9 @@ class KnowledgeBase:
                 )
             if not rec.names:
                 raise KnowledgeBaseError(f"entity {rec.identifier!r} has no names")
-            folded = [n.casefold() for n in rec.names]
-            if len(set(folded)) != len(folded):
+            if len(rec.folded_names) != len(rec.names):
                 raise KnowledgeBaseError(f"entity {rec.identifier!r} repeats an alias")
             self.entities[rec.identifier] = rec
-            for n in folded:
-                name_index.setdefault(n, set()).add(rec.identifier)
-        self.name_index: dict[str, frozenset[str]] = {
-            n: frozenset(ids) for n, ids in name_index.items()
-        }
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -141,10 +114,6 @@ class KnowledgeBase:
             return self.entities[identifier]
         except KeyError:
             raise KeyError(f"unknown entity identifier: {identifier!r}") from None
-
-    def entities_by_name(self, name: str) -> frozenset[str]:
-        """All entity identifiers carrying ``name`` as an alias (case-insensitive)."""
-        return self.name_index.get(name.casefold(), frozenset())
 
 
 def load_taxonomy(records: Iterable[Mapping]) -> ClassTaxonomy:

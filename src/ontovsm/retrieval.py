@@ -29,7 +29,7 @@ from typing import IO, Iterable, Mapping, NamedTuple
 
 from .corpus import Query
 from .errors import ConfigError, EmptyQueryError
-from .index import InvertedIndex
+from .index import InvertedIndex, home_space
 from .termspace import ENTITY_SPACES, Term, query_terms
 
 WEIGHT_TOLERANCE = 1e-9
@@ -50,15 +50,16 @@ class ModelKind(enum.Enum):
     ``entity`` cosines, or their ``blend`` with the keyword cosine by alpha.
     """
 
+    # Rows are listed in report order: ALL_MODELS and precision.csv follow it.
     #              name           overlapped keyword_space entity conjunctive score
     KW =          ("kw",          False,     "KW_FULL",    False, False,      "KW_FULL")
     NE_O =        ("ne-o",        True,      None,         True,  False,      "entity")
     NE_N =        ("ne-n",        False,     None,         True,  False,      "entity")
-    KW_AND_NE_O = ("kw-and-ne-o", True,      "KW",         True,  True,       "blend")
-    KW_AND_NE_N = ("kw-and-ne-n", False,     "KW",         True,  True,       "blend")
-    KW_OR_NE_O =  ("kw-or-ne-o",  True,      "KW",         True,  False,      "blend")
-    KW_OR_NE_N =  ("kw-or-ne-n",  False,     "KW",         True,  False,      "blend")
     KW_PLUS_NE =  ("kw-plus-ne",  False,     "KW",         True,  False,      "UNIFIED")
+    KW_AND_NE_O = ("kw-and-ne-o", True,      "KW",         True,  True,       "blend")
+    KW_OR_NE_O =  ("kw-or-ne-o",  True,      "KW",         True,  False,      "blend")
+    KW_AND_NE_N = ("kw-and-ne-n", False,     "KW",         True,  True,       "blend")
+    KW_OR_NE_N =  ("kw-or-ne-n",  False,     "KW",         True,  False,      "blend")
 
     def __new__(cls, value, overlapped, keyword_space, entity_side, conjunctive, score):
         member = object.__new__(cls)
@@ -71,16 +72,7 @@ class ModelKind(enum.Enum):
         return member
 
 
-ALL_MODELS = (
-    ModelKind.KW,
-    ModelKind.NE_O,
-    ModelKind.NE_N,
-    ModelKind.KW_PLUS_NE,
-    ModelKind.KW_AND_NE_O,
-    ModelKind.KW_OR_NE_O,
-    ModelKind.KW_AND_NE_N,
-    ModelKind.KW_OR_NE_N,
-)
+ALL_MODELS = tuple(ModelKind)
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ def _plan(
     """
     plan = []
     for space, weight in _space_weights(model, config).items():
-        home = "KW" if space == "KW_FULL" else space
+        home = home_space(space)
         idfs = [
             (t, index.idf(t, space))
             for t in sorted(terms)

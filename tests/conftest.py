@@ -22,6 +22,38 @@ def write_jsonl(path, records):
     return path
 
 
+def write_version_1_index(path):
+    """A one-document index in the retired version-1 layout, written by hand.
+
+    Version 1 kept each term in terms.jsonl under a numeric ``tid``, with its
+    ``df``, and joined it to postings.jsonl by that id.
+    """
+    path.mkdir(parents=True)
+    write_jsonl(path / "taxonomy.jsonl", [{"class": "City", "parents": []}])
+    write_jsonl(path / "kb.jsonl", [{"id": "e1", "class": "City", "names": ["Saigon"]}])
+    write_jsonl(
+        path / "terms.jsonl",
+        [
+            {"tid": 0, "space": "I", "term": ["I", "e1", ""], "df": 1},
+            {"tid": 1, "space": "KW", "term": ["KW", "grows", ""], "df": 1},
+        ],
+    )
+    write_jsonl(
+        path / "postings.jsonl",
+        [{"tid": 0, "postings": [["d1", 1]]}, {"tid": 1, "postings": [["d1", 1]]}],
+    )
+    stats = {
+        "format": "ontovsm-index",
+        "version": 1,
+        "doc_count": 1,
+        "doc_ids": ["d1"],
+        "stopwords": [],
+        "terms": {"N": 0, "C": 0, "NC": 0, "I": 1, "KW": 1, "KW_FULL": 0},
+    }
+    (path / "stats.json").write_text(json.dumps(stats, indent=2) + "\n")
+    return path
+
+
 @pytest.fixture(scope="session")
 def taxonomy():
     return load_taxonomy(corpusgen.TAXONOMY_RECORDS)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import corpusgen
-from conftest import write_jsonl
+from conftest import write_jsonl, write_version_1_index
 from ontovsm.cli import main
 from ontovsm.retrieval import ALL_MODELS
 
@@ -132,6 +132,17 @@ class TestSearch:
         assert len(kw_lines) == 1 and kw_lines[0].startswith("q1 Q0 d1 1 ")
         ne_docs = [line.split()[2] for line in (out_dir / "ne-o.run").read_text().splitlines()]
         assert ne_docs == ["d2", "d1"]
+
+    def test_version_1_index_rejected(self, data_dir, capsys):
+        index_dir = write_version_1_index(data_dir / "ix")
+        rc = main([
+            "search", "--index", str(index_dir),
+            "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
+        ])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "unsupported index version 1" in lines[0]
 
     def test_bad_alpha_fails_before_index_io(self, data_dir, capsys):
         rc = main([

@@ -9,7 +9,6 @@ from ontovsm.corpus import (
     annotation_from_record,
     annotation_to_record,
     document_to_record,
-    gazetteer_annotate,
     ingest_document,
     load_corpus,
     load_queries,
@@ -281,43 +280,43 @@ class TestFileLoading:
 
 class TestGazetteer:
     def test_longest_match_wins(self, kb):
-        annotations = gazetteer_annotate("Saigon River flows", kb)
+        annotations = GazetteerAnnotator(kb).annotate("Saigon River flows")
         assert len(annotations) == 1
         a = annotations[0]
         assert (a.name, a.class_id, a.identifier) == ("Saigon River", "River", "e2")
         assert (a.start, a.end) == (0, 12)
 
     def test_ambiguous_alias_gives_name_only(self, kb):
-        annotations = gazetteer_annotate("Saigon is growing", kb)
+        annotations = GazetteerAnnotator(kb).annotate("Saigon is growing")
         assert len(annotations) == 1
         a = annotations[0]
         assert a.name == "Saigon"
         assert a.class_id is None and a.identifier is None
 
     def test_unambiguous_alias_fills_class_and_id(self, kb):
-        annotations = gazetteer_annotate("visit Ho Chi Minh City", kb)
+        annotations = GazetteerAnnotator(kb).annotate("visit Ho Chi Minh City")
         assert len(annotations) == 1
         a = annotations[0]
         assert (a.class_id, a.identifier) == ("City", "e1")
 
     def test_case_insensitive(self, kb):
-        annotations = gazetteer_annotate("THE UNITED NATIONS", kb)
+        annotations = GazetteerAnnotator(kb).annotate("THE UNITED NATIONS")
         assert annotations[0].identifier == "e4"
         assert annotations[0].name == "United Nations"
 
     def test_no_matches(self, kb):
-        assert gazetteer_annotate("nothing to see here", kb) == []
+        assert GazetteerAnnotator(kb).annotate("nothing to see here") == []
 
     def test_matches_do_not_overlap(self, kb):
         # After "Saigon River" is consumed, scanning resumes at "flows".
-        annotations = gazetteer_annotate("Saigon River Saigon", kb)
+        annotations = GazetteerAnnotator(kb).annotate("Saigon River Saigon")
         assert [(a.start, a.end) for a in annotations] == [(0, 12), (13, 19)]
         assert annotations[0].identifier == "e2"
         assert annotations[1].identifier is None
 
     def test_spans_index_original_text(self, kb):
         text = "in Vietnam, the UN convened"
-        annotations = gazetteer_annotate(text, kb)
+        annotations = GazetteerAnnotator(kb).annotate(text)
         assert [text[a.start : a.end] for a in annotations] == ["Vietnam", "UN"]
 
     def test_output_ingests_cleanly(self, kb, taxonomy):
@@ -325,7 +324,7 @@ class TestGazetteer:
         record = {
             "doc_id": "g1",
             "text": text,
-            "annotations": [annotation_to_record(a) for a in gazetteer_annotate(text, kb)],
+            "annotations": [annotation_to_record(a) for a in GazetteerAnnotator(kb).annotate(text)],
         }
         doc = ingest_document(record, kb, taxonomy)
         assert len(doc.annotations) == 2

@@ -38,9 +38,9 @@ class TestLoadQrels:
         qrels = load_qrels(path)
         assert qrels.query_ids == ["q1", "q2"]
         assert qrels.relevant_count("q1") == 1
-        assert qrels.is_relevant("q2", "d1")
-        assert not qrels.is_relevant("q1", "d2")
-        assert not qrels.is_relevant("q1", "unjudged")
+        assert qrels.judgments("q2") == {"d1": True}
+        assert qrels.judgments("q1") == {"d1": True, "d2": False}
+        assert qrels.judgments("unjudged") == {}
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "qrels.txt"

@@ -6,9 +6,11 @@ import math
 import pytest
 
 import corpusgen
+from conftest import write_version_1_index
 from ontovsm.corpus import ingest_document
 from ontovsm.errors import IndexFormatError
-from ontovsm.index import build_index, dump_index, load_index, save_index
+from ontovsm.index import STORED_SPACES, build_index, dump_index, load_index, save_index
+from ontovsm.retrieval import ModelKind, score
 from ontovsm.termspace import class_term, identifier_term, keyword_term, name_term
 
 LN4 = math.log(4.0)
@@ -27,7 +29,6 @@ class TestBuild:
         assert city_index.term_count("I") == 2
         assert city_index.term_count("KW") == 6
         assert city_index.term_count("KW_FULL") == 12
-        assert city_index.term_count("UNIFIED") == 24
 
     def test_document_frequencies(self, city_index):
         assert city_index.df(class_term("Location")) == 2
@@ -63,41 +64,56 @@ class TestBuild:
             assert terms == sorted(terms)
 
 
+def weights(index, doc_id, space):
+    """tf.idf weights of one document in one stored space."""
+    return {
+        t: index.postings(t, space)[doc_id] * index.idf(t, space)
+        for t in index.terms(space)
+        if doc_id in index.postings(t, space)
+    }
+
+
 class TestDocVectors:
     def test_identifier_vector(self, city_index):
-        assert city_index.doc_vector("d1", "I") == {identifier_term("e1"): pytest.approx(LN4)}
+        assert weights(city_index, "d1", "I") == {identifier_term("e1"): pytest.approx(LN4)}
 
     def test_empty_vector_for_unannotated_doc(self, city_index):
-        assert city_index.doc_vector("d3", "I") == {}
-        assert city_index.doc_vector("d3", "N") == {}
+        assert weights(city_index, "d3", "I") == {}
+        assert weights(city_index, "d3", "N") == {}
+        assert "d3" not in city_index.norms["I"] and "d3" not in city_index.norms["N"]
 
     def test_class_vector(self, city_index):
-        vec = city_index.doc_vector("d1", "C")
+        vec = weights(city_index, "d1", "C")
         assert set(vec) == {class_term("City"), class_term("Location")}
         assert vec[class_term("City")] == pytest.approx(LN4)
         assert vec[class_term("Location")] == pytest.approx(LN2_5)
+        assert city_index.norms["C"]["d1"] == pytest.approx(math.hypot(LN4, LN2_5))
 
     def test_unified_merges_partitioned_spaces(self, city_index):
-        unified = city_index.doc_vector("d1", "UNIFIED")
-        for space in ("N", "C", "NC", "I", "KW"):
-            for term, weight in city_index.doc_vector("d1", space).items():
-                assert unified[term] == weight
-        assert len(unified) == sum(
-            len(city_index.doc_vector("d1", s)) for s in ("N", "C", "NC", "I", "KW")
-        )
+        for doc_id in city_index.doc_ids:
+            squares = sum(
+                w * w
+                for s in ("N", "C", "NC", "I", "KW")
+                for w in weights(city_index, doc_id, s).values()
+            )
+            assert city_index.norms["UNIFIED"][doc_id] == pytest.approx(math.sqrt(squares))
 
     def test_full_vector_covers_whole_text(self, city_index):
-        assert len(city_index.doc_vector("d1", "KW_FULL")) == 7
+        assert len(weights(city_index, "d1", "KW_FULL")) == 7
 
-    def test_unknown_doc(self, city_index):
+    def test_unknown_doc(self, city_index, un_query):
+        assert all("d9" not in norms for norms in city_index.norms.values())
         with pytest.raises(KeyError):
-            city_index.doc_vector("d9", "N")
+            score(city_index, un_query, "d9", ModelKind.NE_O)
 
     def test_unknown_space(self, city_index):
+        for space in ("XX", "UNIFIED"):
+            with pytest.raises(ValueError):
+                city_index.terms(space)
+            with pytest.raises(ValueError):
+                city_index.term_count(space)
         with pytest.raises(ValueError):
-            city_index.doc_vector("d1", "XX")
-        with pytest.raises(ValueError):
-            city_index.term_count("XX")
+            city_index.postings(keyword_term("growing"), "XX")
 
 
 class TestPersistence:
@@ -114,9 +130,7 @@ class TestPersistence:
     def test_round_trip_vectors_bit_identical(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
         loaded = load_index(tmp_path / "ix")
-        for doc_id in city_index.doc_ids:
-            for space in ("N", "C", "NC", "I", "KW", "KW_FULL", "UNIFIED"):
-                assert loaded.doc_vector(doc_id, space) == city_index.doc_vector(doc_id, space)
+        assert loaded.norms == city_index.norms
 
     def test_round_trip_preserves_kb(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
@@ -124,10 +138,20 @@ class TestPersistence:
         assert loaded.kb.resolve("e4").canonical_name == "United Nations"
         assert loaded.taxonomy.ancestors("City") == {"City", "Location"}
 
+    def test_saved_files_store_each_term_once(self, tmp_path, city_index):
+        save_index(city_index, tmp_path / "ix")
+        names = sorted(p.name for p in (tmp_path / "ix").iterdir())
+        assert names == ["kb.jsonl", "postings.jsonl", "stats.json", "taxonomy.jsonl"]
+        lines = (tmp_path / "ix" / "postings.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert len(rows) == sum(city_index.term_count(s) for s in STORED_SPACES)
+        assert {"space": "N", "term": ["saigon", ""], "postings": [["d1", 1], ["d2", 1]]} in rows
+        assert {"space": "KW_FULL", "term": ["city", ""], "postings": [["d1", 1]]} in rows
+
     def test_save_load_save_byte_identical(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "a")
         save_index(load_index(tmp_path / "a"), tmp_path / "b")
-        for name in ("stats.json", "terms.jsonl", "postings.jsonl", "taxonomy.jsonl", "kb.jsonl"):
+        for name in ("stats.json", "postings.jsonl", "taxonomy.jsonl", "kb.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_stopwords_round_trip(self, tmp_path, kb, taxonomy):
@@ -154,15 +178,31 @@ class TestPersistence:
     def test_unsupported_version(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
         stats = tmp_path / "ix" / "stats.json"
-        stats.write_text(stats.read_text().replace('"version": 1', '"version": 99'))
+        stats.write_text(json.dumps({**json.loads(stats.read_text()), "version": 99}))
         with pytest.raises(IndexFormatError, match="version"):
             load_index(tmp_path / "ix")
 
-    def test_posting_with_unknown_term_id(self, tmp_path, city_index):
+    def test_version_1_directory_rejected(self, tmp_path):
+        write_version_1_index(tmp_path / "ix")
+        with pytest.raises(IndexFormatError, match="unsupported index version 1"):
+            load_index(tmp_path / "ix")
+
+    def test_posting_with_malformed_term(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
+        path = tmp_path / "ix" / "postings.jsonl"
+        saved = path.read_text()
+        for term in (["saigon"], ["saigon", "City", ""], ["saigon", 7], "ab", None):
+            row = {"space": "NC", "term": term, "postings": [["d1", 1]]}
+            path.write_text(saved + json.dumps(row) + "\n")
+            with pytest.raises(IndexFormatError, match="malformed posting row"):
+                load_index(tmp_path / "ix")
+
+    def test_posting_in_unknown_space(self, tmp_path, city_index):
+        save_index(city_index, tmp_path / "ix")
+        row = {"space": "UNIFIED", "term": ["saigon", ""], "postings": [["d1", 1]]}
         with open(tmp_path / "ix" / "postings.jsonl", "a", encoding="utf-8") as fh:
-            fh.write('{"tid": 9999, "postings": [["d1", 1]]}\n')
-        with pytest.raises(IndexFormatError, match="malformed posting"):
+            fh.write(json.dumps(row) + "\n")
+        with pytest.raises(IndexFormatError, match="unknown term space"):
             load_index(tmp_path / "ix")
 
     def test_posting_with_unknown_doc(self, tmp_path, city_index):
