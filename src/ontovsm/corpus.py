@@ -127,7 +127,8 @@ def validate_annotation(
     if require_span and not a.has_span:
         raise CorpusError("document annotation requires a character span")
     if a.has_span:
-        if not isinstance(a.start, int) or not isinstance(a.end, int):
+        # JSON true/false would pass isinstance(..., int) as offsets 1 and 0.
+        if type(a.start) is not int or type(a.end) is not int:
             raise CorpusError(f"annotation span must be integers: {a.start!r}..{a.end!r}")
         if a.start < 0 or a.start >= a.end or (text_length is not None and a.end > text_length):
             raise CorpusError(f"annotation span {a.start}..{a.end} out of bounds")

@@ -28,7 +28,7 @@ from .ontology import (
     load_taxonomy,
     read_jsonl,
 )
-from .termspace import TERM_SPACES, Term, document_terms, format_term, keyword_term
+from .termspace import TERM_SPACES, Term, _document_terms, format_term, keyword_term
 
 STORED_SPACES = ("N", "C", "NC", "I", "KW", "KW_FULL")
 VECTOR_SPACES = STORED_SPACES + ("UNIFIED",)
@@ -132,9 +132,12 @@ def build_index(
     stopwords = frozenset(stopwords)
     doc_ids: list[str] = []
     raw: dict[str, dict[Term, dict[str, int]]] = {s: {} for s in STORED_SPACES}
+    # Shared by every document of this build: each distinct mention is
+    # expanded once, however often the collection repeats it.
+    expansions: dict = {}
     for doc in docs:
         doc_ids.append(doc.doc_id)
-        for term, tf in document_terms(doc, kb, taxonomy).items():
+        for term, tf in _document_terms(doc, kb, taxonomy, expansions).items():
             raw[term.space].setdefault(term, {})[doc.doc_id] = tf
         # The keyword baseline sees the whole text as keywords, annotated or not.
         for token, tf in Counter(tokenize(doc.text, stopwords)).items():
@@ -218,12 +221,15 @@ def load_index(path: str | Path) -> InvertedIndex:
         if not is_plain_id(doc_id):
             raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
     doc_set = set(doc_ids)
+    stopwords = stats.get("stopwords", [])
+    if not (isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
+        raise IndexFormatError(f"{path}: stats.json's stopwords is not a list of strings")
 
     postings: dict[str, dict[Term, dict[str, int]]] = {s: {} for s in STORED_SPACES}
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
         try:
-            space, term = row["space"], row["term"]
-            plist = {doc: tf for doc, tf in row["postings"]}
+            space, term, entries = row["space"], row["term"], row["postings"]
+            plist = {doc: tf for doc, tf in entries}
         except (KeyError, TypeError, ValueError):
             raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
         if not (
@@ -232,12 +238,25 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}")
         if space not in STORED_SPACES:
             raise IndexFormatError(f"{path}: unknown term space {space!r}")
-        for doc in plist:
+        if len(plist) != len(entries):
+            raise IndexFormatError(f"{path}: posting row lists a document twice: {row!r}")
+        for doc, tf in plist.items():
             if doc not in doc_set:
                 raise IndexFormatError(f"{path}: posting names unknown document {doc!r}")
-        postings[space][Term(home_space(space), *term)] = plist
+            # bool is an int subclass, so JSON true would pass isinstance.
+            if type(tf) is not int or tf < 1:
+                raise IndexFormatError(
+                    f"{path}: posting of document {doc!r} has term frequency {tf!r}, "
+                    "not a positive integer"
+                )
+        key = Term(home_space(space), *term)
+        if key in postings[space]:
+            raise IndexFormatError(
+                f"{path}: two posting rows for term {format_term(key)} in space {space}"
+            )
+        postings[space][key] = plist
 
-    return InvertedIndex(doc_ids, postings, kb, taxonomy, stats.get("stopwords", ()))
+    return InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords)
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> None:

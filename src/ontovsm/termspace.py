@@ -97,16 +97,34 @@ def expand_annotation(
     return counts
 
 
+def _document_terms(
+    doc: AnnotatedDocument,
+    kb: KnowledgeBase,
+    taxonomy: ClassTaxonomy,
+    expansions: dict[tuple, list[tuple[Term, int]]],
+) -> Counter[Term]:
+    # An expansion reads only the mention's (name, class, identifier), so
+    # ``expansions`` caches it per distinct mention; a mention occurring n
+    # times adds n times its expansion.
+    counts: Counter[Term] = Counter()
+    mentions = Counter((a.name, a.class_id, a.identifier) for a in doc.annotations)
+    for mention, n in mentions.items():
+        expanded = expansions.get(mention)
+        if expanded is None:
+            expanded = list(expand_annotation(Annotation(*mention), kb, taxonomy).items())
+            expansions[mention] = expanded
+        for term, k in expanded:
+            counts[term] += n * k
+    for token, n in Counter(doc.keyword_tokens).items():
+        counts[keyword_term(token)] += n
+    return counts
+
+
 def document_terms(
     doc: AnnotatedDocument, kb: KnowledgeBase, taxonomy: ClassTaxonomy
 ) -> Counter[Term]:
     """Term frequencies of one document across the five partitioned spaces."""
-    counts: Counter[Term] = Counter()
-    for annotation in doc.annotations:
-        counts.update(expand_annotation(annotation, kb, taxonomy))
-    for token in doc.keyword_tokens:
-        counts[keyword_term(token)] += 1
-    return counts
+    return _document_terms(doc, kb, taxonomy, {})
 
 
 def query_terms_overlapped(annotation: Annotation, kb: KnowledgeBase) -> set[Term]:

@@ -54,6 +54,59 @@ def write_version_1_index(path):
     return path
 
 
+def _rewrite_first_posting_row(change):
+    def corrupt(index_dir):
+        path = index_dir / "postings.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(first)
+        change(row)
+        path.write_text(json.dumps(row) + "\n" + "".join(rest), encoding="utf-8")
+
+    return corrupt
+
+
+def _set_first_tf(tf):
+    def change(row):
+        row["postings"][0][1] = tf
+
+    return _rewrite_first_posting_row(change)
+
+
+def _repeat_first_row(index_dir):
+    path = index_dir / "postings.jsonl"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(path.read_text(encoding="utf-8").splitlines(keepends=True)[0])
+
+
+def _set_stopwords(value):
+    def corrupt(index_dir):
+        path = index_dir / "stats.json"
+        stats = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**stats, "stopwords": value}), encoding="utf-8")
+
+    return corrupt
+
+
+# Damage that a saved index must be rejected for: (corrupt(index_dir), the
+# phrase the IndexFormatError names it by).
+INDEX_CORRUPTIONS = [
+    pytest.param(_repeat_first_row, "two posting rows", id="term-in-two-rows"),
+    pytest.param(
+        _rewrite_first_posting_row(lambda row: row["postings"].append(row["postings"][0])),
+        "lists a document twice",
+        id="doc-twice-in-row",
+    ),
+    *(
+        pytest.param(_set_first_tf(tf), "term frequency", id=f"tf-{tf!r}")
+        for tf in (True, 1.5, 0, -2, "3")
+    ),
+    *(
+        pytest.param(_set_stopwords(value), "stopwords", id=f"stopwords-{value!r}")
+        for value in ("the", 3, ["the", 3])
+    ),
+]
+
+
 @pytest.fixture(scope="session")
 def taxonomy():
     return load_taxonomy(corpusgen.TAXONOMY_RECORDS)

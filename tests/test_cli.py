@@ -1,10 +1,11 @@
 """End-to-end command line behavior via main(argv)."""
+import copy
 import json
 
 import pytest
 
 import corpusgen
-from conftest import write_jsonl, write_version_1_index
+from conftest import INDEX_CORRUPTIONS, write_jsonl, write_version_1_index
 from ontovsm.cli import main
 from ontovsm.retrieval import ALL_MODELS
 
@@ -32,6 +33,13 @@ def build(data_dir):
     index_dir = data_dir / "index"
     assert main(["build-index", *base_args(data_dir), "--index", str(index_dir)]) == 0
     return index_dir
+
+
+def assert_one_error_line(rc, capsys, message):
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and message in lines[0]
 
 
 class TestBuildIndex:
@@ -139,10 +147,7 @@ class TestSearch:
             "search", "--index", str(index_dir),
             "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
         ])
-        assert rc == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error:") and "unsupported index version 1" in lines[0]
+        assert_one_error_line(rc, capsys, "unsupported index version 1")
 
     def test_bad_alpha_fails_before_index_io(self, data_dir, capsys):
         rc = main([
@@ -354,12 +359,6 @@ class TestCompare:
 class TestIdsWithWhitespace:
     """Run and qrels lines split at whitespace, so ids must not contain any."""
 
-    def assert_one_error_line(self, rc, capsys, bad_id):
-        assert rc == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert repr(bad_id) in lines[0]
-
     def write_spaced_doc_id(self, data_dir):
         records = [dict(corpusgen.UN_DOC_RECORDS[0], doc_id="d 0x"), *corpusgen.UN_DOC_RECORDS[1:]]
         write_jsonl(data_dir / "corpus.jsonl", records)
@@ -367,7 +366,7 @@ class TestIdsWithWhitespace:
     def test_build_index(self, data_dir, capsys):
         self.write_spaced_doc_id(data_dir)
         rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
-        self.assert_one_error_line(rc, capsys, "d 0x")
+        assert_one_error_line(rc, capsys, repr("d 0x"))
 
     def test_compare(self, data_dir, capsys):
         self.write_spaced_doc_id(data_dir)
@@ -377,7 +376,7 @@ class TestIdsWithWhitespace:
             "--qrels", str(data_dir / "qrels.txt"),
             "--out", str(data_dir / "cmp"),
         ])
-        self.assert_one_error_line(rc, capsys, "d 0x")
+        assert_one_error_line(rc, capsys, repr("d 0x"))
 
     def test_search_query_id(self, data_dir, capsys):
         index_dir = build(data_dir)
@@ -387,7 +386,7 @@ class TestIdsWithWhitespace:
             "search", "--index", str(index_dir),
             "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
         ])
-        self.assert_one_error_line(rc, capsys, "q\t1")
+        assert_one_error_line(rc, capsys, repr("q\t1"))
 
     def test_search_index_doc_id(self, data_dir, capsys):
         index_dir = build(data_dir)
@@ -399,7 +398,25 @@ class TestIdsWithWhitespace:
             "search", "--index", str(index_dir),
             "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
         ])
-        self.assert_one_error_line(rc, capsys, "d 0x")
+        assert_one_error_line(rc, capsys, repr("d 0x"))
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("corrupt, message", INDEX_CORRUPTIONS)
+    def test_corrupt_index(self, data_dir, capsys, corrupt, message):
+        index_dir = build(data_dir)
+        corrupt(index_dir)
+        capsys.readouterr()
+        rc = main(["dump-index", "--index", str(index_dir)])
+        assert_one_error_line(rc, capsys, message)
+
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_bool_span_offset(self, data_dir, capsys, end):
+        record = copy.deepcopy(corpusgen.UN_DOC_RECORDS[0])
+        record["annotations"][0][end] = True
+        write_jsonl(data_dir / "corpus.jsonl", [record])
+        rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
+        assert_one_error_line(rc, capsys, "annotation span must be integers")
 
 
 class TestDumpIndex:

@@ -143,6 +143,17 @@ class TestIngestDocument:
         with pytest.raises(CorpusError, match="out of bounds"):
             ingest_document(record, kb, taxonomy)
 
+    @pytest.mark.parametrize("span", [(True, 6), (0, True), (False, 6)])
+    def test_bool_span_offsets_rejected(self, kb, taxonomy, span):
+        start, end = span
+        record = {
+            "doc_id": "x",
+            "text": "Saigon",
+            "annotations": [{"start": start, "end": end, "name": "Saigon"}],
+        }
+        with pytest.raises(CorpusError, match="span must be integers"):
+            ingest_document(record, kb, taxonomy)
+
     def test_span_required_on_documents(self, kb, taxonomy):
         record = {"doc_id": "x", "text": "Saigon", "annotations": [{"name": "Saigon"}]}
         with pytest.raises(CorpusError, match="span"):

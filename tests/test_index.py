@@ -6,7 +6,7 @@ import math
 import pytest
 
 import corpusgen
-from conftest import write_version_1_index
+from conftest import INDEX_CORRUPTIONS, write_version_1_index
 from ontovsm.corpus import ingest_document
 from ontovsm.errors import IndexFormatError
 from ontovsm.index import STORED_SPACES, build_index, dump_index, load_index, save_index
@@ -221,6 +221,13 @@ class TestPersistence:
         stats["doc_ids"][0] = bad_id
         path.write_text(json.dumps(stats))
         with pytest.raises(IndexFormatError, match="malformed doc id"):
+            load_index(tmp_path / "ix")
+
+    @pytest.mark.parametrize("corrupt, message", INDEX_CORRUPTIONS)
+    def test_corrupt_index_rejected(self, tmp_path, city_index, corrupt, message):
+        save_index(city_index, tmp_path / "ix")
+        corrupt(tmp_path / "ix")
+        with pytest.raises(IndexFormatError, match=message):
             load_index(tmp_path / "ix")
 
     def test_corrupt_stats_json(self, tmp_path, city_index):

@@ -1,6 +1,8 @@
-"""Property tests: interpolation against its per-level definition, the score
-range, and save/load/search identity, on generated rankings and corpora."""
+"""Property tests: interpolation against its per-level definition, document
+terms against per-occurrence expansion, the score range, and save/load/search
+identity, on generated rankings and corpora."""
 import tempfile
+from collections import Counter
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from ontovsm.evaluation import RECALL_LEVELS, InterpMode, Qrels, interpolate_11p
 from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import ALL_MODELS, ModelConfig, search
+from ontovsm.termspace import TERM_SPACES, document_terms, expand_annotation, keyword_term
 
 TAXONOMY = load_taxonomy(corpusgen.SYNTH_TAXONOMY_RECORDS)
 KB = load_knowledge_base(corpusgen.SYNTH_ENTITY_RECORDS, TAXONOMY)
@@ -77,6 +80,61 @@ def documents(draw, doc_id):
         parts.append(word)
         pos += len(word) + 1
     return {"doc_id": doc_id, "text": " ".join(parts), "annotations": records}
+
+
+@st.composite
+def mentions(draw):
+    """An annotation record and the text it spans, its alias in any letter case."""
+    alias, record = draw(annotations())
+    word = draw(st.sampled_from([str, str.upper, str.lower, str.swapcase]))(alias)
+    if "name" in record:
+        record["name"] = word
+    return word, record
+
+
+@st.composite
+def repetitive_documents(draw):
+    """Documents that draw their mentions from one small pool, so the same
+    mention recurs within and across documents."""
+    pool = draw(st.lists(mentions(), min_size=1, max_size=4))
+    docs = []
+    for i in range(draw(st.integers(1, 5))):
+        parts, records, pos = [], [], 0
+        for _ in range(draw(st.integers(0, 12))):
+            if draw(st.booleans()):
+                word, record = draw(st.sampled_from(pool))
+                records.append(dict(record, start=pos, end=pos + len(word)))
+            else:
+                word = draw(st.sampled_from(corpusgen.VOCAB))
+            parts.append(word)
+            pos += len(word) + 1
+        record = {"doc_id": f"d{i}", "text": " ".join(parts), "annotations": records}
+        docs.append(ingest_document(record, KB, TAXONOMY))
+    return docs
+
+
+def reference_document_terms(doc):
+    """Every annotation expanded on its own, plus one count per keyword token."""
+    counts = Counter()
+    for annotation in doc.annotations:
+        counts.update(expand_annotation(annotation, KB, TAXONOMY))
+    for token in doc.keyword_tokens:
+        counts[keyword_term(token)] += 1
+    return dict(counts)
+
+
+@given(repetitive_documents())
+def test_document_terms_match_per_occurrence_expansion(docs):
+    index = build_index(docs, KB, TAXONOMY)
+    indexed = {doc.doc_id: {} for doc in docs}
+    for space in TERM_SPACES:
+        for term in index.terms(space):
+            for doc_id, tf in index.postings(term, space).items():
+                indexed[doc_id][term] = tf
+    for doc in docs:
+        expected = reference_document_terms(doc)
+        assert document_terms(doc, KB, TAXONOMY) == expected
+        assert indexed[doc.doc_id] == expected
 
 
 @st.composite
