@@ -20,9 +20,10 @@ from .corpus import (
     annotation_to_record,
     load_corpus,
     load_queries,
+    load_raw_corpus,
     load_stopword_file,
 )
-from .errors import CorpusError, EmptyQueryError, OntoVsmError
+from .errors import EmptyQueryError, OntoVsmError
 from .evaluation import InterpMode, load_qrels, load_run_file
 from .index import (
     InvertedIndex,
@@ -31,7 +32,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .ontology import read_jsonl, read_kb_file, read_taxonomy_file
+from .ontology import read_kb_file, read_taxonomy_file
 from .retrieval import ALL_MODELS, ModelConfig, ModelKind, RankedResult, search, write_run_file
 from .termspace import TERM_SPACES
 
@@ -154,21 +155,16 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     taxonomy = read_taxonomy_file(args.taxonomy)
     kb = read_kb_file(args.kb, taxonomy)
     annotator = GazetteerAnnotator(kb)
-    count = 0
+    docs = load_raw_corpus(args.corpus)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for lineno, rec in enumerate(read_jsonl(args.corpus, CorpusError), start=1):
-            doc_id = rec.get("doc_id")
-            text = rec.get("text", "")
-            if not isinstance(doc_id, str) or not doc_id or not isinstance(text, str):
-                raise CorpusError(f"{args.corpus}, record {lineno}: need doc_id and text")
+        for doc_id, text in docs:
             row = {
                 "doc_id": doc_id,
                 "text": text,
                 "annotations": [annotation_to_record(a) for a in annotator.annotate(text)],
             }
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-            count += 1
-    print(f"annotated {count} docs -> {args.out}")
+    print(f"annotated {len(docs)} docs -> {args.out}")
     return 0
 
 

@@ -13,10 +13,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Mapping
+from typing import Callable, Collection, Mapping
 
 from .errors import CorpusError
-from .ontology import ClassTaxonomy, KnowledgeBase, read_jsonl
+from .ontology import ClassTaxonomy, KnowledgeBase, read_jsonl, read_lines
 
 TOKEN_RE = re.compile(r"[^\W_]+")
 
@@ -36,8 +36,7 @@ def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
 
 def load_stopword_file(path: str | Path) -> frozenset[str]:
     """One stopword per line, case-folded; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(w.strip().casefold() for w in fh if w.strip())
+    return frozenset(line.casefold() for _, line in read_lines(path, CorpusError))
 
 
 @dataclass(frozen=True)
@@ -113,25 +112,10 @@ def annotation_to_record(a: Annotation) -> dict:
     return rec
 
 
-def validate_annotation(
-    a: Annotation,
-    kb: KnowledgeBase,
-    taxonomy: ClassTaxonomy,
-    *,
-    text_length: int | None = None,
-    require_span: bool = False,
-) -> None:
-    """Check one annotation against the knowledge base and taxonomy."""
+def validate_annotation(a: Annotation, kb: KnowledgeBase, taxonomy: ClassTaxonomy) -> None:
+    """Check one annotation's features against the knowledge base and taxonomy."""
     if a.name is None and a.class_id is None and a.identifier is None:
         raise CorpusError("annotation specifies neither name, class, nor identifier")
-    if require_span and not a.has_span:
-        raise CorpusError("document annotation requires a character span")
-    if a.has_span:
-        # JSON true/false would pass isinstance(..., int) as offsets 1 and 0.
-        if type(a.start) is not int or type(a.end) is not int:
-            raise CorpusError(f"annotation span must be integers: {a.start!r}..{a.end!r}")
-        if a.start < 0 or a.start >= a.end or (text_length is not None and a.end > text_length):
-            raise CorpusError(f"annotation span {a.start}..{a.end} out of bounds")
     if a.class_id is not None and a.class_id not in taxonomy:
         raise CorpusError(f"annotation names unknown class {a.class_id!r}")
     if a.identifier is not None:
@@ -150,6 +134,36 @@ def validate_annotation(
             )
 
 
+def _record_id(record: Mapping, key: str, kind: str) -> str:
+    value = record.get(key)
+    if not isinstance(value, str) or not value:
+        raise CorpusError(f"{kind} record without a {key}: {record!r}")
+    if not is_plain_id(value):
+        raise CorpusError(f"{key} {value!r} contains whitespace")
+    return value
+
+
+def _document_fields(record: Mapping) -> tuple[str, str]:
+    doc_id = _record_id(record, "doc_id", "document")
+    text = record.get("text", "")
+    if not isinstance(text, str):
+        raise CorpusError(f"document {doc_id!r} has a non-string text")
+    return doc_id, text
+
+
+def _annotations(
+    record: Mapping, key: str, kb: KnowledgeBase, taxonomy: ClassTaxonomy
+) -> list[Annotation]:
+    """Parse and validate the list of annotation objects under ``key``."""
+    raw = record.get(key, [])
+    if not isinstance(raw, list) or not all(isinstance(r, dict) for r in raw):
+        raise CorpusError(f"{key} must be a list of objects")
+    annotations = [annotation_from_record(r) for r in raw]
+    for a in annotations:
+        validate_annotation(a, kb, taxonomy)
+    return annotations
+
+
 def _annotation_sort_key(a: Annotation):
     return (a.start or 0, a.end or 0, a.name or "", a.class_id or "", a.identifier or "")
 
@@ -165,27 +179,26 @@ def ingest_document(
     Keyword tokens are the tokens of the text that do not touch any annotated
     span; tokens inside spans count only through their annotations.
     """
-    doc_id = record.get("doc_id")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise CorpusError(f"document record without a doc_id: {record!r}")
-    if not is_plain_id(doc_id):
-        raise CorpusError(f"doc_id {doc_id!r} contains whitespace")
-    text = record.get("text", "")
-    if not isinstance(text, str):
-        raise CorpusError(f"document {doc_id!r} has a non-string text")
-    annotations = [annotation_from_record(r) for r in record.get("annotations", [])]
-    for a in annotations:
-        try:
-            validate_annotation(a, kb, taxonomy, text_length=len(text), require_span=True)
-        except CorpusError as exc:
-            raise CorpusError(f"document {doc_id!r}: {exc}") from None
-    annotations.sort(key=_annotation_sort_key)
-    for prev, cur in zip(annotations, annotations[1:]):
-        if cur.start < prev.end:
-            raise CorpusError(
-                f"document {doc_id!r}: overlapping annotation spans "
-                f"{prev.start}..{prev.end} and {cur.start}..{cur.end}"
-            )
+    doc_id, text = _document_fields(record)
+    try:
+        annotations = _annotations(record, "annotations", kb, taxonomy)
+        for a in annotations:
+            if not a.has_span:
+                raise CorpusError("document annotation requires a character span")
+            # JSON true/false would pass isinstance(..., int) as offsets 1 and 0.
+            if type(a.start) is not int or type(a.end) is not int:
+                raise CorpusError(f"annotation span must be integers: {a.start!r}..{a.end!r}")
+            if not 0 <= a.start < a.end <= len(text):
+                raise CorpusError(f"annotation span {a.start}..{a.end} out of bounds")
+        annotations.sort(key=_annotation_sort_key)
+        for prev, cur in zip(annotations, annotations[1:]):
+            if cur.start < prev.end:
+                raise CorpusError(
+                    "overlapping annotation spans "
+                    f"{prev.start}..{prev.end} and {cur.start}..{cur.end}"
+                )
+    except CorpusError as exc:
+        raise CorpusError(f"document {doc_id!r}: {exc}") from None
 
     # Sorted disjoint spans have sorted ends: the first span ending after a
     # token's start is the only one the token can touch.
@@ -216,28 +229,35 @@ def query_from_record(
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
 ) -> Query:
-    query_id = record.get("query_id")
-    if not isinstance(query_id, str) or not query_id:
-        raise CorpusError(f"query record without a query_id: {record!r}")
-    if not is_plain_id(query_id):
-        raise CorpusError(f"query_id {query_id!r} contains whitespace")
+    query_id = _record_id(record, "query_id", "query")
     raw_keywords = record.get("keywords", [])
     if not isinstance(raw_keywords, list) or not all(isinstance(k, str) for k in raw_keywords):
         raise CorpusError(f"query {query_id!r} has a malformed keywords list")
     keywords = [tok for kw in raw_keywords for tok in tokenize(kw, stopwords)]
-    annotations = []
-    for rec in record.get("entities", []):
-        a = annotation_from_record(rec)
-        if a.has_span:
-            raise CorpusError(f"query {query_id!r}: query annotations must not carry spans")
-        try:
-            validate_annotation(a, kb, taxonomy)
-        except CorpusError as exc:
-            raise CorpusError(f"query {query_id!r}: {exc}") from None
-        annotations.append(a)
+    try:
+        annotations = _annotations(record, "entities", kb, taxonomy)
+        if any(a.has_span for a in annotations):
+            raise CorpusError("query annotations must not carry spans")
+    except CorpusError as exc:
+        raise CorpusError(f"query {query_id!r}: {exc}") from None
     if not keywords and not annotations:
         raise CorpusError(f"query {query_id!r} has neither keywords nor entities")
     return Query(query_id, tuple(keywords), tuple(annotations))
+
+
+def _load_records(path: str | Path, key: str, parse: Callable[[dict], object]) -> list:
+    """Parse each record of a JSON Lines file with ``parse``, which checks the id
+    under ``key``; no two records may share one."""
+    items: dict[str, object] = {}
+    for number, rec in enumerate(read_jsonl(path, CorpusError), start=1):
+        try:
+            item = parse(rec)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}, record {number}: {exc}") from None
+        if rec[key] in items:
+            raise CorpusError(f"{path}, record {number}: duplicate {key} {rec[key]!r}")
+        items[rec[key]] = item
+    return list(items.values())
 
 
 def load_corpus(
@@ -247,18 +267,7 @@ def load_corpus(
     stopwords: Collection[str] | None = None,
 ) -> list[AnnotatedDocument]:
     """Load and validate a line-delimited JSON corpus file."""
-    docs: list[AnnotatedDocument] = []
-    seen: set[str] = set()
-    for lineno, rec in enumerate(read_jsonl(path, CorpusError), start=1):
-        try:
-            doc = ingest_document(rec, kb, taxonomy, stopwords)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}, record {lineno}: {exc}") from None
-        if doc.doc_id in seen:
-            raise CorpusError(f"{path}, record {lineno}: duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        docs.append(doc)
-    return docs
+    return _load_records(path, "doc_id", lambda r: ingest_document(r, kb, taxonomy, stopwords))
 
 
 def load_queries(
@@ -268,18 +277,12 @@ def load_queries(
     stopwords: Collection[str] | None = None,
 ) -> list[Query]:
     """Load and validate a line-delimited JSON query file."""
-    queries: list[Query] = []
-    seen: set[str] = set()
-    for lineno, rec in enumerate(read_jsonl(path, CorpusError), start=1):
-        try:
-            q = query_from_record(rec, kb, taxonomy, stopwords)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}, record {lineno}: {exc}") from None
-        if q.query_id in seen:
-            raise CorpusError(f"{path}, record {lineno}: duplicate query_id {q.query_id!r}")
-        seen.add(q.query_id)
-        queries.append(q)
-    return queries
+    return _load_records(path, "query_id", lambda r: query_from_record(r, kb, taxonomy, stopwords))
+
+
+def load_raw_corpus(path: str | Path) -> list[tuple[str, str]]:
+    """Each record's ``(doc_id, text)`` under the corpus rules, ignoring annotations."""
+    return _load_records(path, "doc_id", _document_fields)
 
 
 class GazetteerAnnotator:

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import EvalError
+from .ontology import read_lines
 
 RECALL_LEVELS = tuple(j / 10 for j in range(11))
 
@@ -54,19 +55,14 @@ class Qrels:
 def load_qrels(path: str | Path) -> Qrels:
     """Judgment lines ``<query_id> 0 <doc_id> <0|1>``; duplicates are an error."""
     judgments: dict[str, dict[str, bool]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4 or fields[3] not in ("0", "1"):
-                raise EvalError(f"{path}, line {lineno}: malformed qrels line {line.rstrip()!r}")
-            query_id, _, doc_id, flag = fields
-            if doc_id in judgments.get(query_id, {}):
-                raise EvalError(
-                    f"{path}, line {lineno}: duplicate judgment for ({query_id}, {doc_id})"
-                )
-            judgments.setdefault(query_id, {})[doc_id] = flag == "1"
+    for lineno, line in read_lines(path, EvalError):
+        fields = line.split()
+        if len(fields) != 4 or fields[3] not in ("0", "1"):
+            raise EvalError(f"{path}, line {lineno}: malformed qrels line {line!r}")
+        query_id, _, doc_id, flag = fields
+        if doc_id in judgments.get(query_id, {}):
+            raise EvalError(f"{path}, line {lineno}: duplicate judgment for ({query_id}, {doc_id})")
+        judgments.setdefault(query_id, {})[doc_id] = flag == "1"
     return Qrels(judgments)
 
 
@@ -74,25 +70,22 @@ def load_run_file(path: str | Path) -> dict[str, list[str]]:
     """Read a TREC run file back into per-query ranked document lists."""
     runs: dict[str, list[str]] = {}
     listed: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise EvalError(f"{path}, line {lineno}: malformed run line {line.rstrip()!r}")
-            query_id, _, doc_id, _, score, _ = fields
-            try:
-                float(score)
-            except ValueError:
-                raise EvalError(f"{path}, line {lineno}: bad score {score!r}") from None
-            seen = listed.setdefault(query_id, set())
-            if doc_id in seen:
-                raise EvalError(
-                    f"{path}, line {lineno}: document {doc_id!r} listed twice for {query_id!r}"
-                )
-            seen.add(doc_id)
-            runs.setdefault(query_id, []).append(doc_id)
+    for lineno, line in read_lines(path, EvalError):
+        fields = line.split()
+        if len(fields) != 6:
+            raise EvalError(f"{path}, line {lineno}: malformed run line {line!r}")
+        query_id, _, doc_id, _, score, _ = fields
+        try:
+            float(score)
+        except ValueError:
+            raise EvalError(f"{path}, line {lineno}: bad score {score!r}") from None
+        seen = listed.setdefault(query_id, set())
+        if doc_id in seen:
+            raise EvalError(
+                f"{path}, line {lineno}: document {doc_id!r} listed twice for {query_id!r}"
+            )
+        seen.add(doc_id)
+        runs.setdefault(query_id, []).append(doc_id)
     return runs
 
 

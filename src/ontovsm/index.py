@@ -26,6 +26,7 @@ from .ontology import (
     KnowledgeBase,
     load_knowledge_base,
     load_taxonomy,
+    parse_json,
     read_jsonl,
 )
 from .termspace import TERM_SPACES, Term, _document_terms, format_term, keyword_term
@@ -198,13 +199,12 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> InvertedIndex:
     path = Path(path)
     try:
-        with open(path / "stats.json", encoding="utf-8") as fh:
-            stats = json.load(fh)
+        stats = parse_json((path / "stats.json").read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise IndexFormatError(f"{path} is not an index directory (no stats.json)") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors
         raise IndexFormatError(f"{path / 'stats.json'}: {exc}") from None
-    if stats.get("format") != INDEX_FORMAT:
+    if not isinstance(stats, dict) or stats.get("format") != INDEX_FORMAT:
         raise IndexFormatError(f"{path}: not a {INDEX_FORMAT} directory")
     if stats.get("version") != INDEX_VERSION:
         raise IndexFormatError(
@@ -217,10 +217,18 @@ def load_index(path: str | Path) -> InvertedIndex:
     doc_ids = stats.get("doc_ids")
     if not isinstance(doc_ids, list):
         raise IndexFormatError(f"{path}: stats.json lacks a doc_ids list")
+    doc_set: set[str] = set()
     for doc_id in doc_ids:
         if not is_plain_id(doc_id):
             raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
-    doc_set = set(doc_ids)
+        if doc_id in doc_set:
+            raise IndexFormatError(f"{path}: stats.json lists document {doc_id!r} twice")
+        doc_set.add(doc_id)
+    if stats.get("doc_count") != len(doc_ids):
+        raise IndexFormatError(
+            f"{path}: stats.json's doc_count {stats.get('doc_count')!r} "
+            f"does not match its {len(doc_ids)} doc ids"
+        )
     stopwords = stats.get("stopwords", [])
     if not (isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
         raise IndexFormatError(f"{path}: stats.json's stopwords is not a list of strings")
@@ -238,6 +246,8 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}")
         if space not in STORED_SPACES:
             raise IndexFormatError(f"{path}: unknown term space {space!r}")
+        if not plist:
+            raise IndexFormatError(f"{path}: posting row lists no documents: {row!r}")
         if len(plist) != len(entries):
             raise IndexFormatError(f"{path}: posting row lists a document twice: {row!r}")
         for doc, tf in plist.items():
@@ -255,6 +265,12 @@ def load_index(path: str | Path) -> InvertedIndex:
                 f"{path}: two posting rows for term {format_term(key)} in space {space}"
             )
         postings[space][key] = plist
+    counts = {space: len(postings[space]) for space in STORED_SPACES}
+    if stats.get("terms") != counts:
+        raise IndexFormatError(
+            f"{path}: stats.json's term counts {stats.get('terms')!r} do not match "
+            f"the postings' {counts!r}"
+        )
 
     return InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords)
 

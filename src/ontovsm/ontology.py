@@ -6,10 +6,11 @@ are safe for unrestricted concurrent reads.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import KnowledgeBaseError, TaxonomyError
 
@@ -87,7 +88,6 @@ class KnowledgeBase:
     """
 
     def __init__(self, records: Iterable[EntityRecord], taxonomy: ClassTaxonomy):
-        self.taxonomy = taxonomy
         self.entities: dict[str, EntityRecord] = {}
         for rec in records:
             if rec.identifier in self.entities:
@@ -151,21 +151,41 @@ def load_knowledge_base(records: Iterable[Mapping], taxonomy: ClassTaxonomy) -> 
     return KnowledgeBase(entities, taxonomy)
 
 
+# A \uXXXX escape can spell half a surrogate pair, which no UTF-8 output can hold.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_json(text: str):
+    """``json.loads``, also rejecting lone surrogates with a ``ValueError``."""
+    value = json.loads(text)
+    # The backslash test is a far cheaper scan that most lines fail.
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        json.dumps(value, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError
+    return value
+
+
+def read_lines(path: str | Path, error_cls: type[Exception]) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for each non-blank line of a UTF-8 file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(map(str.strip, fh), start=1):
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise error_cls(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
 def read_jsonl(path: str | Path, error_cls: type[Exception]) -> list[dict]:
     """Read one JSON object per non-blank line, raising ``error_cls`` with context."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error_cls(f"{path}, line {lineno}: {exc}") from None
-            if not isinstance(rec, dict):
-                raise error_cls(f"{path}, line {lineno}: expected a JSON object")
-            records.append(rec)
+    for lineno, line in read_lines(path, error_cls):
+        try:
+            rec = parse_json(line)
+        except (ValueError, RecursionError) as exc:
+            raise error_cls(f"{path}, line {lineno}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise error_cls(f"{path}, line {lineno}: expected a JSON object")
+        records.append(rec)
     return records
 
 

@@ -78,13 +78,32 @@ def _repeat_first_row(index_dir):
         fh.write(path.read_text(encoding="utf-8").splitlines(keepends=True)[0])
 
 
-def _set_stopwords(value):
+def _rewrite_stats(change):
     def corrupt(index_dir):
         path = index_dir / "stats.json"
         stats = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**stats, "stopwords": value}), encoding="utf-8")
+        change(stats)
+        path.write_text(json.dumps(stats), encoding="utf-8")
 
     return corrupt
+
+
+def _set_stopwords(value):
+    return _rewrite_stats(lambda stats: stats.update(stopwords=value))
+
+
+def _repeat_first_doc_id(stats):
+    stats["doc_ids"].append(stats["doc_ids"][0])
+    stats["doc_count"] += 1
+
+
+def _miscount_first_space(stats):
+    space = next(iter(stats["terms"]))
+    stats["terms"][space] += 1
+
+
+def _write_non_utf8_stats(index_dir):
+    (index_dir / "stats.json").write_bytes(b'{"format": "\xff"}\n')
 
 
 # Damage that a saved index must be rejected for: (corrupt(index_dir), the
@@ -103,6 +122,26 @@ INDEX_CORRUPTIONS = [
     *(
         pytest.param(_set_stopwords(value), "stopwords", id=f"stopwords-{value!r}")
         for value in ("the", 3, ["the", 3])
+    ),
+    pytest.param(
+        _rewrite_first_posting_row(lambda row: row["postings"].clear()),
+        "lists no documents",
+        id="row-without-documents",
+    ),
+    pytest.param(
+        _rewrite_stats(_repeat_first_doc_id), "lists document 'd1' twice", id="doc-id-twice"
+    ),
+    pytest.param(
+        _rewrite_stats(lambda stats: stats.update(doc_count=stats["doc_count"] + 1)),
+        "doc_count",
+        id="doc-count-mismatch",
+    ),
+    pytest.param(_rewrite_stats(_miscount_first_space), "term counts", id="term-count-mismatch"),
+    pytest.param(_write_non_utf8_stats, "codec can't decode", id="stats-not-utf8"),
+    pytest.param(
+        _rewrite_stats(lambda stats: stats["doc_ids"].append("d\ud800")),
+        "surrogates not allowed",
+        id="stats-lone-surrogate",
     ),
 ]
 

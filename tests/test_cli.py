@@ -79,6 +79,15 @@ class TestBuildIndex:
         assert "KW=3" in capsys.readouterr().out
 
 
+def annotate_args(data_dir, raw):
+    return [
+        "annotate",
+        "--taxonomy", str(data_dir / "taxonomy.jsonl"),
+        "--kb", str(data_dir / "kb.jsonl"),
+        "--corpus", str(raw), "--out", str(data_dir / "annotated.jsonl"),
+    ]
+
+
 class TestAnnotate:
     def test_gazetteer_output(self, data_dir, capsys):
         raw = data_dir / "raw.jsonl"
@@ -119,6 +128,14 @@ class TestAnnotate:
         args = base_args(data_dir)
         args[5] = str(annotated)
         assert main(["build-index", *args, "--index", str(data_dir / "ix")]) == 0
+
+    def test_duplicate_doc_id(self, data_dir, capsys):
+        raw = write_jsonl(data_dir / "raw.jsonl", [
+            {"doc_id": "a1", "text": "Saigon"},
+            {"doc_id": "a1", "text": "Hanoi"},
+        ])
+        rc = main(annotate_args(data_dir, raw))
+        assert_one_error_line(rc, capsys, "record 2: duplicate doc_id 'a1'")
 
 
 class TestSearch:
@@ -378,6 +395,11 @@ class TestIdsWithWhitespace:
         ])
         assert_one_error_line(rc, capsys, repr("d 0x"))
 
+    def test_annotate(self, data_dir, capsys):
+        raw = write_jsonl(data_dir / "raw.jsonl", [{"doc_id": "d 0x", "text": "Saigon"}])
+        rc = main(annotate_args(data_dir, raw))
+        assert_one_error_line(rc, capsys, repr("d 0x"))
+
     def test_search_query_id(self, data_dir, capsys):
         index_dir = build(data_dir)
         capsys.readouterr()
@@ -417,6 +439,68 @@ class TestHostileInput:
         write_jsonl(data_dir / "corpus.jsonl", [record])
         rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
         assert_one_error_line(rc, capsys, "annotation span must be integers")
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("taxonomy.jsonl", "build-index"),
+            ("kb.jsonl", "build-index"),
+            ("corpus.jsonl", "build-index"),
+            ("stop.txt", "build-index"),
+            ("queries.jsonl", "search"),
+            ("qrels.txt", "eval"),
+            ("kw.run", "eval"),
+        ],
+    )
+    def test_non_utf8_input(self, data_dir, capsys, name, command):
+        index_dir = build(data_dir)
+        capsys.readouterr()
+        (data_dir / "stop.txt").write_text("the\n")
+        (data_dir / "kw.run").write_text("q1 Q0 d1 1 0.500000 kw\n")
+        (data_dir / name).write_bytes(b"caf\xe9\n")
+        argv = {
+            "build-index": [
+                "build-index", *base_args(data_dir), "--index", str(data_dir / "ix"),
+                "--stopwords", str(data_dir / "stop.txt"),
+            ],
+            "search": [
+                "search", "--index", str(index_dir),
+                "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
+            ],
+            "eval": [
+                "eval", str(data_dir / "kw.run"),
+                "--qrels", str(data_dir / "qrels.txt"), "--out", str(data_dir / "ev"),
+            ],
+        }[command]
+        rc = main(argv)
+        assert_one_error_line(rc, capsys, f"{data_dir / name}: not valid UTF-8")
+
+    @pytest.mark.parametrize("field", ["doc_id", "text"])
+    @pytest.mark.parametrize("command, output", [("build-index", "--index"), ("annotate", "--out")])
+    def test_lone_surrogate_in_corpus(self, data_dir, capsys, command, output, field):
+        # JSON can escape half a surrogate pair, which no UTF-8 output can hold.
+        record = dict(corpusgen.UN_DOC_RECORDS[0], annotations=[], **{field: "d\ud800"})
+        write_jsonl(data_dir / "corpus.jsonl", [record])
+        rc = main([command, *base_args(data_dir), output, str(data_dir / "out")])
+        assert_one_error_line(rc, capsys, "corpus.jsonl, line 1: 'utf-8' codec can't encode")
+
+    @pytest.mark.parametrize("value", ["abc", 3, None, [3]], ids=repr)
+    def test_annotations_not_a_list_of_objects(self, data_dir, capsys, value):
+        record = dict(corpusgen.UN_DOC_RECORDS[0], annotations=value)
+        write_jsonl(data_dir / "corpus.jsonl", [record])
+        rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
+        assert_one_error_line(rc, capsys, "document 'd1': annotations must be a list of objects")
+
+    @pytest.mark.parametrize("value", ["abc", 3, None, [3]], ids=repr)
+    def test_entities_not_a_list_of_objects(self, data_dir, capsys, value):
+        index_dir = build(data_dir)
+        capsys.readouterr()
+        write_jsonl(data_dir / "queries.jsonl", [dict(corpusgen.UN_QUERY_RECORD, entities=value)])
+        rc = main([
+            "search", "--index", str(index_dir),
+            "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
+        ])
+        assert_one_error_line(rc, capsys, "query 'q1': entities must be a list of objects")
 
 
 class TestDumpIndex:

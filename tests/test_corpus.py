@@ -209,6 +209,17 @@ class TestIngestDocument:
         doc = ingest_document(record, kb, taxonomy)
         assert doc.annotations[0].identifier == "e1"
 
+    @pytest.mark.parametrize("value", ["abc", 3, None, [3], [{"name": "Saigon"}, "x"]], ids=repr)
+    def test_annotations_must_be_list_of_objects(self, kb, taxonomy, value):
+        record = {"doc_id": "x", "text": "Saigon", "annotations": value}
+        with pytest.raises(CorpusError, match="annotations must be a list of objects"):
+            ingest_document(record, kb, taxonomy)
+
+    def test_annotation_record_errors_name_the_document(self, kb, taxonomy):
+        record = {"doc_id": "x", "text": "Saigon", "annotations": [{"name": "x", "start": 0}]}
+        with pytest.raises(CorpusError, match="^document 'x': annotation span needs both"):
+            ingest_document(record, kb, taxonomy)
+
     def test_missing_doc_id(self, kb, taxonomy):
         with pytest.raises(CorpusError, match="doc_id"):
             ingest_document({"text": "x"}, kb, taxonomy)
@@ -251,6 +262,17 @@ class TestQueries:
         q = query_from_record(record, kb, taxonomy, {"the"})
         assert q.keywords == ()
         assert len(q.annotations) == 1
+
+    @pytest.mark.parametrize("value", ["abc", 3, None, [3], [{"class": "City"}, []]], ids=repr)
+    def test_entities_must_be_list_of_objects(self, kb, taxonomy, value):
+        record = {"query_id": "q", "keywords": ["x"], "entities": value}
+        with pytest.raises(CorpusError, match="^query 'q': entities must be a list of objects"):
+            query_from_record(record, kb, taxonomy)
+
+    def test_entity_record_errors_name_the_query(self, kb, taxonomy):
+        record = {"query_id": "q", "keywords": [], "entities": [{"class": ""}]}
+        with pytest.raises(CorpusError, match="^query 'q': annotation field must be"):
+            query_from_record(record, kb, taxonomy)
 
     def test_missing_query_id(self, kb, taxonomy):
         with pytest.raises(CorpusError, match="query_id"):

@@ -191,6 +191,17 @@ class TestFileLoading:
         with pytest.raises(TaxonomyError, match="line 2"):
             read_taxonomy_file(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"class": ' + "1" * 5000 + "}", "[" * 100_000, '{"class": "A\\ud800"}'],
+        ids=["huge-int", "deep-nesting", "lone-surrogate"],
+    )
+    def test_unusable_json_reports_line(self, tmp_path, line):
+        path = tmp_path / "taxonomy.jsonl"
+        path.write_text('{"class": "A"}\n' + line + "\n")
+        with pytest.raises(TaxonomyError, match="line 2"):
+            read_taxonomy_file(path)
+
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "kb.jsonl"
         path.write_text("[1, 2]\n")

@@ -1,18 +1,41 @@
 """Property tests: interpolation against its per-level definition, document
-terms against per-occurrence expansion, the score range, and save/load/search
-identity, on generated rankings and corpora."""
+terms against per-occurrence expansion, the score range, save/load/search
+identity, and loaders and subcommands fed fuzzed input files."""
+import contextlib
+import copy
+import functools
+import io
+import json
+import operator
 import tempfile
 from collections import Counter
+from pathlib import Path
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from ontovsm.corpus import ingest_document, query_from_record
-from ontovsm.errors import EmptyQueryError
-from ontovsm.evaluation import RECALL_LEVELS, InterpMode, Qrels, interpolate_11pt, pr_points
+from ontovsm.cli import main
+from ontovsm.corpus import (
+    ingest_document,
+    load_corpus,
+    load_queries,
+    load_stopword_file,
+    query_from_record,
+)
+from ontovsm.errors import EmptyQueryError, OntoVsmError
+from ontovsm.evaluation import (
+    RECALL_LEVELS,
+    InterpMode,
+    Qrels,
+    interpolate_11pt,
+    load_qrels,
+    load_run_file,
+    pr_points,
+)
 from ontovsm.index import build_index, load_index, save_index
-from ontovsm.ontology import load_knowledge_base, load_taxonomy
+from ontovsm.ontology import load_knowledge_base, load_taxonomy, read_kb_file, read_taxonomy_file
 from ontovsm.retrieval import ALL_MODELS, ModelConfig, search
 from ontovsm.termspace import TERM_SPACES, document_terms, expand_annotation, keyword_term
 
@@ -187,3 +210,184 @@ def test_save_load_search_identical(collection, config):
         save_index(index, tmp)
         reloaded = load_index(tmp)
     assert all_runs(reloaded, query_list, config) == all_runs(index, query_list, config)
+
+
+# Fuzzed input files. Each starts as a valid file of a small dataset. Its
+# contents become arbitrary bytes, or the valid records with up to three parts,
+# at any depth, replaced by a JSON value of any type or removed. Loaders may
+# only raise OntoVsmError, and a subcommand ends in exit 0, or in exit 2 with
+# one error line.
+
+DATASET = corpusgen.synthetic_dataset(seed=3, n_docs=6, n_queries=2)
+INDEX_FILES = ("ix/stats.json", "ix/postings.jsonl", "ix/taxonomy.jsonl", "ix/kb.jsonl")
+
+
+def jsonl(records):
+    return "".join(json.dumps(record) + "\n" for record in records).encode()
+
+
+def text_lines(lines):
+    # A lone surrogate becomes bytes that are not UTF-8.
+    return "\n".join(" ".join(tokens) for tokens in lines).encode("utf-8", "surrogatepass")
+
+
+def _saved_index():
+    docs = [ingest_document(record, KB, TAXONOMY) for record in DATASET["docs"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(build_index(docs, KB, TAXONOMY), tmp)
+        return {f"ix/{p.name}": p.read_bytes() for p in Path(tmp).iterdir()}
+
+
+VALID_FILES = {
+    "taxonomy.jsonl": jsonl(DATASET["taxonomy"]),
+    "kb.jsonl": jsonl(DATASET["kb"]),
+    "corpus.jsonl": jsonl(DATASET["docs"]),
+    "queries.jsonl": jsonl(DATASET["queries"]),
+    "qrels.txt": "".join(corpusgen.qrels_lines(DATASET["qrels"])).encode(),
+    "stop.txt": b"the\nharbor\n",
+    "kw.run": b"q01 Q0 d01 1 0.500000 kw\nq01 Q0 d02 2 0.250000 kw\n",
+    **_saved_index(),
+}
+# Whitespace splits ids, "*" means unspecified, and a lone surrogate survives
+# JSON escaping but cannot be written as UTF-8.
+ODD_TEXT = st.text(st.sampled_from(" \t\n\x00*_\u00e9\ud800\udc00") | st.characters(), max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ODD_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+TOKENS = sorted({token for name in ("qrels.txt", "kw.run") for token in VALID_FILES[name].split()})
+TEXT_VALUES = ODD_TEXT | st.sampled_from([token.decode() for token in TOKENS] + ["nan", "-1"])
+REMOVE = object()
+
+
+def paths(value, prefix=()):
+    """The path to every part of ``value`` below its root."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, value, replacements):
+    """A copy of ``value`` with up to three of its parts replaced or removed."""
+    value = copy.deepcopy(value)
+    for _ in range(draw(st.integers(0, 3))):
+        choices = list(paths(value))
+        if not choices:
+            break
+        *parents, key = draw(st.sampled_from(choices))
+        container = functools.reduce(operator.getitem, parents, value)
+        # A string is often swapped for odd text, so that the record stays valid
+        # around it; any part may become any value or be removed.
+        like = ODD_TEXT if isinstance(container[key], str) else st.nothing()
+        replacement = draw(like | replacements | st.just(REMOVE))
+        if replacement is REMOVE:
+            del container[key]
+        else:
+            container[key] = replacement
+    return value
+
+
+def file_contents(name):
+    valid = VALID_FILES[name]
+    if name.endswith(".jsonl"):
+        records = [json.loads(line) for line in valid.splitlines()]
+        shaped = mutated(records, JSON_VALUES).map(jsonl)
+    elif name.endswith(".json"):
+        shaped = mutated(json.loads(valid), JSON_VALUES).map(lambda v: json.dumps(v).encode())
+    else:
+        lines = [line.split() for line in valid.decode().splitlines()]
+        shaped = mutated(lines, TEXT_VALUES).map(text_lines)
+    return st.binary(max_size=40) | shaped
+
+
+def write_inputs(directory, name, contents):
+    (directory / "ix").mkdir()
+    for valid_name, valid in VALID_FILES.items():
+        (directory / valid_name).write_bytes(contents if valid_name == name else valid)
+
+
+LOADERS = {
+    "taxonomy.jsonl": read_taxonomy_file,
+    "kb.jsonl": lambda path: read_kb_file(path, TAXONOMY),
+    "corpus.jsonl": lambda path: load_corpus(path, KB, TAXONOMY),
+    "queries.jsonl": lambda path: load_queries(path, KB, TAXONOMY),
+    "stop.txt": load_stopword_file,
+    "qrels.txt": load_qrels,
+    "kw.run": load_run_file,
+    **{name: lambda path: load_index(path.parent) for name in INDEX_FILES},
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_loaders_raise_only_package_errors(name, data):
+    contents = data.draw(file_contents(name), label="contents")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp), name, contents)
+        try:
+            LOADERS[name](Path(tmp) / name)
+        except OntoVsmError:
+            pass
+
+
+def command_line(command, d):
+    sources = [
+        "--taxonomy", str(d / "taxonomy.jsonl"),
+        "--kb", str(d / "kb.jsonl"),
+        "--corpus", str(d / "corpus.jsonl"),
+    ]
+    queries = ["--queries", str(d / "queries.jsonl")]
+    return {
+        "build-index": [
+            "build-index", *sources, "--stopwords", str(d / "stop.txt"),
+            "--index", str(d / "built"),
+        ],
+        "annotate": ["annotate", *sources, "--out", str(d / "annotated.jsonl")],
+        "search": ["search", "--index", str(d / "ix"), *queries, "--out", str(d / "runs")],
+        "eval": [
+            "eval", str(d / "kw.run"), "--qrels", str(d / "qrels.txt"), "--out", str(d / "ev"),
+        ],
+        "compare": [
+            "compare", *sources, *queries, "--stopwords", str(d / "stop.txt"),
+            "--qrels", str(d / "qrels.txt"), "--out", str(d / "cmp"),
+        ],
+        "dump-index": ["dump-index", "--index", str(d / "ix")],
+    }[command]
+
+
+COMMAND_INPUTS = {
+    "build-index": ["taxonomy.jsonl", "kb.jsonl", "corpus.jsonl", "stop.txt"],
+    "annotate": ["taxonomy.jsonl", "kb.jsonl", "corpus.jsonl"],
+    "search": [*INDEX_FILES, "queries.jsonl"],
+    "eval": ["kw.run", "qrels.txt"],
+    "compare": [
+        "taxonomy.jsonl", "kb.jsonl", "corpus.jsonl", "stop.txt", "queries.jsonl", "qrels.txt",
+    ],
+    "dump-index": list(INDEX_FILES),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_INPUTS)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_subcommands_exit_0_or_2_with_one_error_line(command, data):
+    name = data.draw(st.sampled_from(COMMAND_INPUTS[command]), label="fuzzed file")
+    contents = data.draw(file_contents(name), label="contents")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp), name, contents)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(command_line(command, Path(tmp)))
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if not line.startswith("warning:")]
+    assert (rc, len(errors)) in ((0, 0), (2, 1))
+    assert rc == 0 or lines[-1].startswith("error:")
