@@ -93,11 +93,7 @@ class InvertedIndex:
     def _space_of(self, term: Term, space: str | None) -> dict[Term, dict[str, int]]:
         # UNIFIED holds no terms of its own; statistics come from the term's
         # home space, which is what merging disjoint partitions preserves.
-        if space is None or space == "UNIFIED":
-            space = term.space
-        elif space not in STORED_SPACES:
-            raise ValueError(f"unknown term space {space!r}")
-        return self._postings[space]
+        return self._stored(term.space if space in (None, "UNIFIED") else space)
 
     def _stored(self, space: str) -> dict[Term, dict[str, int]]:
         if space not in STORED_SPACES:

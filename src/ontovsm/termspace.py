@@ -13,12 +13,12 @@ counts for every alias of the entity, and a class occurrence counts for the
 class and all of its superclasses, so a broader query still matches a narrower
 document. Query annotations are never expanded; they contribute either one
 term per specified feature (overlapped) or the single most specific term
-(non-overlapped).
+(non-overlapped). Both sides draw their terms from one rule, ``_feature_terms``.
 """
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .corpus import AnnotatedDocument, Annotation, Query
 from .ontology import ClassTaxonomy, KnowledgeBase
@@ -66,6 +66,23 @@ def format_term(term: Term) -> str:
     return f"{term.space}:{term.primary}"
 
 
+def _feature_terms(
+    names: Sequence[str], classes: Sequence[str], identifier: str | None
+) -> list[Term]:
+    """One mention's term lattice: an N term per name, then a C term per class,
+    an NC term per name/class pair and an I term for the identifier."""
+    terms = [name_term(n) for n in names]
+    terms += [class_term(c) for c in classes]
+    terms += [name_class_term(n, c) for n in names for c in classes]
+    if identifier is not None:
+        terms.append(identifier_term(identifier))
+    return terms
+
+
+def _given(feature: str | None) -> tuple[str, ...]:
+    return () if feature is None else (feature,)
+
+
 def expand_annotation(
     annotation: Annotation, kb: KnowledgeBase, taxonomy: ClassTaxonomy
 ) -> Counter[Term]:
@@ -75,46 +92,32 @@ def expand_annotation(
     it counts once for the class and each superclass; NC pairs are the full
     cross product of the two sets.
     """
+    names, class_id = _given(annotation.name), annotation.class_id
     if annotation.identifier is not None:
         entity = kb.resolve(annotation.identifier)
-        aliases = sorted(n.casefold() for n in entity.names)
-        class_id = entity.class_id
-    else:
-        aliases = [annotation.name.casefold()] if annotation.name is not None else []
-        class_id = annotation.class_id
+        names, class_id = sorted(entity.folded_names), entity.class_id
     classes = sorted(taxonomy.ancestors(class_id)) if class_id is not None else []
-
-    counts: Counter[Term] = Counter()
-    for alias in aliases:
-        counts[name_term(alias)] += 1
-    for cls in classes:
-        counts[class_term(cls)] += 1
-    for alias in aliases:
-        for cls in classes:
-            counts[name_class_term(alias, cls)] += 1
-    if annotation.identifier is not None:
-        counts[identifier_term(annotation.identifier)] += 1
-    return counts
+    return Counter(_feature_terms(names, classes, annotation.identifier))
 
 
 def _document_terms(
     doc: AnnotatedDocument,
     kb: KnowledgeBase,
     taxonomy: ClassTaxonomy,
-    expansions: dict[tuple, list[tuple[Term, int]]],
+    expansions: dict[tuple, tuple[Term, ...]],
 ) -> Counter[Term]:
-    # An expansion reads only the mention's (name, class, identifier), so
-    # ``expansions`` caches it per distinct mention; a mention occurring n
-    # times adds n times its expansion.
+    # An expansion reads only the mention's (name, class, identifier) and names
+    # each term once, so ``expansions`` caches its terms per distinct mention;
+    # a mention occurring n times adds n to each.
     counts: Counter[Term] = Counter()
     mentions = Counter((a.name, a.class_id, a.identifier) for a in doc.annotations)
     for mention, n in mentions.items():
-        expanded = expansions.get(mention)
-        if expanded is None:
-            expanded = list(expand_annotation(Annotation(*mention), kb, taxonomy).items())
-            expansions[mention] = expanded
-        for term, k in expanded:
-            counts[term] += n * k
+        terms = expansions.get(mention)
+        if terms is None:
+            terms = tuple(expand_annotation(Annotation(*mention), kb, taxonomy))
+            expansions[mention] = terms
+        for term in terms:
+            counts[term] += n
     for token, n in Counter(doc.keyword_tokens).items():
         counts[keyword_term(token)] += n
     return counts
@@ -133,37 +136,22 @@ def query_terms_overlapped(annotation: Annotation, kb: KnowledgeBase) -> set[Ter
     An identifier pins down the entity, so its canonical name and class stand
     in for features the annotation leaves unspecified.
     """
-    name = annotation.name
-    class_id = annotation.class_id
+    name, class_id = annotation.name, annotation.class_id
     if annotation.identifier is not None:
         entity = kb.resolve(annotation.identifier)
-        if name is None:
-            name = entity.canonical_name
-        if class_id is None:
-            class_id = entity.class_id
-    terms: set[Term] = set()
-    if name is not None:
-        terms.add(name_term(name))
-    if class_id is not None:
-        terms.add(class_term(class_id))
-    if name is not None and class_id is not None:
-        terms.add(name_class_term(name, class_id))
-    if annotation.identifier is not None:
-        terms.add(identifier_term(annotation.identifier))
-    return terms
+        name = entity.canonical_name if name is None else name
+        class_id = entity.class_id if class_id is None else class_id
+    return set(_feature_terms(_given(name), _given(class_id), annotation.identifier))
 
 
 def query_terms_nonoverlapped(annotation: Annotation) -> set[Term]:
     """The single most specific term: identifier, then pair, class, name."""
-    if annotation.identifier is not None:
-        return {identifier_term(annotation.identifier)}
-    if annotation.name is not None and annotation.class_id is not None:
-        return {name_class_term(annotation.name, annotation.class_id)}
-    if annotation.class_id is not None:
-        return {class_term(annotation.class_id)}
-    if annotation.name is not None:
-        return {name_term(annotation.name)}
-    raise ValueError("annotation specifies no feature")
+    terms = _feature_terms(
+        _given(annotation.name), _given(annotation.class_id), annotation.identifier
+    )
+    if not terms:
+        raise ValueError("annotation specifies no feature")
+    return {terms[-1]}
 
 
 def query_terms(query: Query, kb: KnowledgeBase, overlapped: bool) -> set[Term]:
