@@ -100,18 +100,13 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_stopwords(args: argparse.Namespace) -> frozenset[str]:
-    if getattr(args, "stopwords", None):
-        return load_stopword_file(args.stopwords)
-    return frozenset()
-
-
-def _build_index_from_args(args: argparse.Namespace) -> InvertedIndex:
+def _read_collection(args: argparse.Namespace):
+    """The corpus with the knowledge base, taxonomy and stopwords it was read against."""
     taxonomy = read_taxonomy_file(args.taxonomy)
     kb = read_kb_file(args.kb, taxonomy)
-    stopwords = _load_stopwords(args)
+    stopwords = load_stopword_file(args.stopwords) if args.stopwords else frozenset()
     docs = load_corpus(args.corpus, kb, taxonomy, stopwords)
-    return build_index(docs, kb, taxonomy, stopwords)
+    return docs, kb, taxonomy, stopwords
 
 
 def _summary_line(index: InvertedIndex) -> str:
@@ -145,7 +140,7 @@ def _search_all(
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    index = _build_index_from_args(args)
+    index = build_index(*_read_collection(args))
     save_index(index, args.index)
     print(_summary_line(index))
     return 0
@@ -193,14 +188,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _model_config(args)
-    index = _build_index_from_args(args)
+    # Every input is read and checked before anything is built or written.
+    docs, kb, taxonomy, stopwords = _read_collection(args)
+    queries = load_queries(args.queries, kb, taxonomy, stopwords)
+    qrels = load_qrels(args.qrels)
+    index = build_index(docs, kb, taxonomy, stopwords)
     if args.index:
         save_index(index, args.index)
     print(_summary_line(index))
-    queries = load_queries(args.queries, index.kb, index.taxonomy, index.stopwords)
     out_dir = Path(args.out)
     written = _search_all(index, queries, args.models, config, args.top_k, out_dir / "runs")
-    qrels = load_qrels(args.qrels)
     # The runs as load_run_file would read the files back: a query with no
     # results writes no line, so it is left out, and ids hold no whitespace,
     # so each line splits back into the same ids.

@@ -164,10 +164,6 @@ def _annotations(
     return annotations
 
 
-def _annotation_sort_key(a: Annotation):
-    return (a.start or 0, a.end or 0, a.name or "", a.class_id or "", a.identifier or "")
-
-
 def ingest_document(
     record: Mapping,
     kb: KnowledgeBase,
@@ -190,7 +186,7 @@ def ingest_document(
                 raise CorpusError(f"annotation span must be integers: {a.start!r}..{a.end!r}")
             if not 0 <= a.start < a.end <= len(text):
                 raise CorpusError(f"annotation span {a.start}..{a.end} out of bounds")
-        annotations.sort(key=_annotation_sort_key)
+        annotations.sort(key=lambda a: (a.start, a.end))
         for prev, cur in zip(annotations, annotations[1:]):
             if cur.start < prev.end:
                 raise CorpusError(

@@ -372,6 +372,28 @@ class TestCompare:
             outputs.append({str(p): (out_dir / p).read_bytes() for p in files})
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("qrels.txt", "q1 0 d1\n", "malformed qrels line"),
+            ("queries.jsonl", json.dumps({"query_id": "q 1", "keywords": ["x"]}) + "\n", "'q 1'"),
+        ],
+    )
+    def test_bad_input_writes_nothing(self, data_dir, capsys, name, content, message):
+        (data_dir / name).write_text(content)
+        out_dir, index_dir = data_dir / "cmp", data_dir / "saved-ix"
+        rc = main([
+            "compare", *base_args(data_dir),
+            "--queries", str(data_dir / "queries.jsonl"),
+            "--qrels", str(data_dir / "qrels.txt"),
+            "--out", str(out_dir), "--index", str(index_dir),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2 and "indexed" not in captured.out
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:") and message in errors[0]
+        assert not (out_dir / "runs").exists() and not index_dir.exists()
+
 
 class TestIdsWithWhitespace:
     """Run and qrels lines split at whitespace, so ids must not contain any."""

@@ -1,6 +1,7 @@
 """Property tests: interpolation against its per-level definition, document
-terms against per-occurrence expansion, the score range, save/load/search
-identity, and loaders and subcommands fed fuzzed input files."""
+terms against per-occurrence expansion, query terms nested in document terms,
+the filter-set laws, the score range, save/load/search identity, and loaders
+and subcommands fed fuzzed input files."""
 import contextlib
 import copy
 import functools
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import corpusgen
 from ontovsm.cli import main
 from ontovsm.corpus import (
+    annotation_from_record,
     ingest_document,
     load_corpus,
     load_queries,
@@ -36,8 +38,15 @@ from ontovsm.evaluation import (
 )
 from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy, read_kb_file, read_taxonomy_file
-from ontovsm.retrieval import ALL_MODELS, ModelConfig, search
-from ontovsm.termspace import TERM_SPACES, document_terms, expand_annotation, keyword_term
+from ontovsm.retrieval import ALL_MODELS, ModelConfig, ModelKind, filter_documents, search
+from ontovsm.termspace import (
+    TERM_SPACES,
+    document_terms,
+    expand_annotation,
+    keyword_term,
+    query_terms_nonoverlapped,
+    query_terms_overlapped,
+)
 
 TAXONOMY = load_taxonomy(corpusgen.SYNTH_TAXONOMY_RECORDS)
 KB = load_knowledge_base(corpusgen.SYNTH_ENTITY_RECORDS, TAXONOMY)
@@ -113,6 +122,17 @@ def mentions(draw):
     if "name" in record:
         record["name"] = word
     return word, record
+
+
+@given(mentions())
+def test_query_terms_nest_in_document_terms(mention):
+    """Each side of the term lattice contains the narrower one, and a document
+    expansion names each term once."""
+    annotation = annotation_from_record(mention[1])
+    expansion = expand_annotation(annotation, KB, TAXONOMY)
+    assert set(expansion.values()) == {1}
+    overlapped = query_terms_overlapped(annotation, KB)
+    assert query_terms_nonoverlapped(annotation) <= overlapped <= expansion.keys()
 
 
 @st.composite
@@ -201,6 +221,34 @@ def all_runs(index, query_list, config):
 def test_scores_stay_in_unit_interval(collection, config):
     for results in all_runs(*collection, config).values():
         assert all(0.0 <= r.score <= 1.0 for r in results)
+
+
+# Each pair's first model admits a subset of what its second admits.
+FILTER_LAWS = [
+    (ModelKind.NE_O, ModelKind.NE_N),
+    (ModelKind.KW_AND_NE_O, ModelKind.KW_OR_NE_O),
+    (ModelKind.KW_AND_NE_N, ModelKind.KW_OR_NE_N),
+]
+
+
+@given(collections(), configs())
+def test_filter_set_laws(collection, config):
+    index, query_list = collection
+    runs = all_runs(index, query_list, config)
+    for query in query_list:
+        sets = {}
+        for model in ALL_MODELS:
+            try:
+                sets[model] = filter_documents(index, query, model)
+            except EmptyQueryError:
+                pass
+        for narrow, wide in FILTER_LAWS:
+            if narrow in sets and wide in sets:
+                assert sets[narrow] <= sets[wide]
+        for model in ALL_MODELS:
+            results = runs.get((query.query_id, model))
+            assert (results is None) == (model not in sets)
+            assert {r.doc_id for r in results or ()} <= sets.get(model, set())
 
 
 @given(collections(), configs())
