@@ -71,9 +71,16 @@ def _feature_terms(
 ) -> list[Term]:
     """One mention's term lattice: an N term per name, then a C term per class,
     an NC term per name/class pair and an I term for the identifier."""
-    terms = [name_term(n) for n in names]
-    terms += [class_term(c) for c in classes]
-    terms += [name_class_term(n, c) for n in names for c in classes]
+    # Plain loops: a query mention has at most one name and one class, and for
+    # so few items a comprehension's own call costs more than its loop.
+    terms = []
+    for n in names:
+        terms.append(name_term(n))
+    for c in classes:
+        terms.append(class_term(c))
+    for n in names:
+        for c in classes:
+            terms.append(name_class_term(n, c))
     if identifier is not None:
         terms.append(identifier_term(identifier))
     return terms
