@@ -73,7 +73,7 @@ def _feature_terms(
     an NC term per name/class pair and an I term for the identifier."""
     # Plain loops: a query mention has at most one name and one class, and for
     # so few items a comprehension's own call costs more than its loop.
-    terms = []
+    terms: list[Term] = []
     for n in names:
         terms.append(name_term(n))
     for c in classes:
