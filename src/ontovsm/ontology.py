@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -22,42 +23,41 @@ class ClassTaxonomy:
     ``ancestors`` is reflexive: every class is an ancestor of itself.
     """
 
-    def __init__(self, classes: Iterable[str], parent_edges: Mapping[str, Iterable[str]]):
-        self.classes = frozenset(classes)
+    def __init__(self, parents: Mapping[str, Iterable[str]]):
         self.parents: dict[str, frozenset[str]] = {
-            c: frozenset(parent_edges.get(c, ())) for c in sorted(self.classes)
+            c: frozenset(parents[c]) for c in sorted(parents)
         }
-        for child, parents in self.parents.items():
-            for p in parents:
-                if p not in self.classes:
+        for child, direct in self.parents.items():
+            for p in direct:
+                if p not in self.parents:
                     raise TaxonomyError(f"class {child!r} names undeclared parent {p!r}")
-        self._ancestors = self._closure()
-
-    def _closure(self) -> dict[str, frozenset[str]]:
-        # Parents come before children, so each ancestor set is the union of
-        # the parents' sets. Sorted parents make the order, and so the class a
-        # cycle error names, independent of set iteration order.
-        graph = {c: sorted(parents) for c, parents in self.parents.items()}
-        closed: dict[str, frozenset[str]] = {}
+        # Sorted parents make the class a cycle error names independent of set
+        # iteration order. Ancestors are walked on demand, so a deep chain costs
+        # memory linear in its length, not in the sum of its depths.
+        graph = {c: sorted(direct) for c, direct in self.parents.items()}
         try:
-            for c in TopologicalSorter(graph).static_order():
-                closed[c] = frozenset({c}.union(*(closed[p] for p in graph[c])))
+            TopologicalSorter(graph).prepare()
         except CycleError as exc:
             cycle = exc.args[1]
             raise TaxonomyError(
                 f"cycle detected in class taxonomy involving {min(cycle)!r}"
             ) from None
-        return closed
 
     def __contains__(self, class_id: str) -> bool:
-        return class_id in self.classes
+        return class_id in self.parents
 
     def ancestors(self, class_id: str) -> frozenset[str]:
         """The class itself plus every class reachable via parent edges."""
-        try:
-            return self._ancestors[class_id]
-        except KeyError:
-            raise KeyError(f"unknown class: {class_id!r}") from None
+        if class_id not in self.parents:
+            raise KeyError(f"unknown class: {class_id!r}")
+        seen = {class_id}
+        stack = [class_id]
+        while stack:
+            for p in self.parents[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class EntityRecord:
     def canonical_name(self) -> str:
         return self.names[0]
 
-    @property
+    @cached_property
     def folded_names(self) -> frozenset[str]:
         return frozenset(n.casefold() for n in self.names)
 
@@ -102,9 +102,6 @@ class KnowledgeBase:
                 raise KnowledgeBaseError(f"entity {rec.identifier!r} repeats an alias")
             self.entities[rec.identifier] = rec
 
-    def __len__(self) -> int:
-        return len(self.entities)
-
     def __contains__(self, identifier: str) -> bool:
         return identifier in self.entities
 
@@ -118,7 +115,6 @@ class KnowledgeBase:
 
 def load_taxonomy(records: Iterable[Mapping]) -> ClassTaxonomy:
     """Build a taxonomy from ``{"class": ..., "parents": [...]}`` records."""
-    classes: list[str] = []
     edges: dict[str, list[str]] = {}
     for rec in records:
         cid = rec.get("class")
@@ -129,9 +125,8 @@ def load_taxonomy(records: Iterable[Mapping]) -> ClassTaxonomy:
         parents = rec.get("parents", [])
         if not isinstance(parents, list) or not all(isinstance(p, str) for p in parents):
             raise TaxonomyError(f"class {cid!r} has a malformed parents list")
-        classes.append(cid)
         edges[cid] = parents
-    return ClassTaxonomy(classes, edges)
+    return ClassTaxonomy(edges)
 
 
 def load_knowledge_base(records: Iterable[Mapping], taxonomy: ClassTaxonomy) -> KnowledgeBase:

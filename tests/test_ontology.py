@@ -1,9 +1,15 @@
-"""Taxonomy closure and knowledge base lookups."""
+"""Taxonomy ancestry and knowledge base lookups."""
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import corpusgen
+import oracle
 from conftest import write_jsonl
 from ontovsm.corpus import GazetteerAnnotator
 from ontovsm.errors import KnowledgeBaseError, TaxonomyError
@@ -19,7 +25,7 @@ from ontovsm.ontology import (
 class TestTaxonomy:
     def test_fixture_size(self, taxonomy):
         # Three children under Location, two under Organization.
-        assert len(taxonomy.classes) == 8
+        assert len(taxonomy.parents) == 8
         assert sum(len(parents) for parents in taxonomy.parents.values()) == 5
 
     def test_contains(self, taxonomy):
@@ -55,7 +61,7 @@ class TestTaxonomy:
 
     def test_empty_taxonomy_valid(self):
         t = load_taxonomy([])
-        assert len(t.classes) == 0 and t.parents == {}
+        assert len(t.parents) == 0 and t.parents == {}
 
     def test_duplicate_class_rejected(self):
         with pytest.raises(TaxonomyError, match="duplicate"):
@@ -66,11 +72,11 @@ class TestTaxonomy:
             load_taxonomy([{"class": "A", "parents": ["Missing"]}])
 
     def test_self_loop_is_cycle(self):
-        with pytest.raises(TaxonomyError, match="cycle"):
+        with pytest.raises(TaxonomyError, match="cycle.*involving 'City'"):
             load_taxonomy([{"class": "City", "parents": ["City"]}])
 
     def test_longer_cycle(self):
-        with pytest.raises(TaxonomyError, match="cycle"):
+        with pytest.raises(TaxonomyError, match="cycle.*involving 'A'"):
             load_taxonomy(
                 [
                     {"class": "A", "parents": ["C"]},
@@ -88,7 +94,7 @@ class TestTaxonomy:
     def test_ancestors_monotone(self):
         # sub below sup implies ancestors(sup) is a subset of ancestors(sub).
         t = load_taxonomy(corpusgen.SYNTH_TAXONOMY_RECORDS)
-        for sub in t.classes:
+        for sub in t.parents:
             for sup in t.ancestors(sub):
                 assert t.ancestors(sup) <= t.ancestors(sub)
 
@@ -103,6 +109,7 @@ class TestTaxonomy:
                 records.append({"class": name, "parents": parents})
             t = load_taxonomy(records)
             for name in names:
+                assert t.ancestors(name) == oracle.naive_ancestors(records, name)
                 assert name in t.ancestors(name)
                 for parent in t.parents[name]:
                     assert t.ancestors(parent) <= t.ancestors(name)
@@ -110,7 +117,7 @@ class TestTaxonomy:
 
 class TestKnowledgeBase:
     def test_size_and_membership(self, kb):
-        assert len(kb) == 5
+        assert len(kb.entities) == 5
         assert "e1" in kb
         assert "e99" not in kb
 
@@ -177,13 +184,13 @@ class TestFileLoading:
         kb_path = write_jsonl(tmp_path / "kb.jsonl", corpusgen.ENTITY_RECORDS)
         taxonomy = read_taxonomy_file(taxo_path)
         kb = read_kb_file(kb_path, taxonomy)
-        assert len(taxonomy.classes) == 8
-        assert len(kb) == 5
+        assert len(taxonomy.parents) == 8
+        assert len(kb.entities) == 5
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "taxonomy.jsonl"
         path.write_text('{"class": "A"}\n\n{"class": "B"}\n')
-        assert len(read_taxonomy_file(path).classes) == 2
+        assert len(read_taxonomy_file(path).parents) == 2
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "taxonomy.jsonl"
@@ -206,4 +213,62 @@ class TestFileLoading:
         path = tmp_path / "kb.jsonl"
         path.write_text("[1, 2]\n")
         with pytest.raises(KnowledgeBaseError, match="object"):
-            read_kb_file(path, ClassTaxonomy([], {}))
+            read_kb_file(path, ClassTaxonomy({}))
+
+
+# Writes a 20k-class chain (c0 the root, c19999 the leaf), loads it under
+# tracemalloc, then builds and dumps an index whose mentions name c10.
+DEEP_CHAIN_CHILD = """
+import sys, tracemalloc
+from pathlib import Path
+from conftest import write_jsonl
+from oracle import naive_ancestors
+from ontovsm.cli import main
+from ontovsm.ontology import read_taxonomy_file
+
+out = Path(sys.argv[1])
+n = 20_000
+records = [{"class": "c0", "parents": []}]
+records += [{"class": f"c{i}", "parents": [f"c{i - 1}"]} for i in range(1, n)]
+taxo = write_jsonl(out / "taxonomy.jsonl", records)
+tracemalloc.start()
+taxonomy = read_taxonomy_file(taxo)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+leaf = f"c{n - 1}"
+assert taxonomy.ancestors(leaf) == naive_ancestors(records, leaf)
+
+kb = write_jsonl(out / "kb.jsonl", [{"id": "e1", "class": "c10", "names": ["Deep"]}])
+corpus = write_jsonl(out / "corpus.jsonl", [
+    {"doc_id": "d1", "text": "Deep here",
+     "annotations": [{"start": 0, "end": 4, "id": "e1"}]},
+    {"doc_id": "d2", "text": "a thing",
+     "annotations": [{"start": 2, "end": 7, "class": "c10"}]},
+])
+index = str(out / "index")
+args = ["--taxonomy", str(taxo), "--kb", str(kb), "--corpus", str(corpus)]
+assert main(["build-index", *args, "--index", index]) == 0
+assert main(["dump-index", "--index", index]) == 0
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_deep_chain_loads_in_linear_memory(tmp_path):
+    # A chain's ancestor sets hold n²/2 classes in all, so a loader that stored
+    # them would need gigabytes here. The child runs under a 1 GiB address-space
+    # cap, so such a loader dies with MemoryError instead of exhausting the host.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    result = subprocess.run(
+        [sys.executable, "-c", DEEP_CHAIN_CHILD, str(tmp_path)],
+        env=env,
+        preexec_fn=_cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
