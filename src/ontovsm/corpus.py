@@ -10,10 +10,9 @@ markup.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Mapping, NamedTuple
 
 from .errors import CorpusError
 from .ontology import ClassTaxonomy, KnowledgeBase, read_jsonl, read_lines
@@ -39,8 +38,7 @@ def load_stopword_file(path: str | Path) -> frozenset[str]:
     return frozenset(line.casefold() for _, line in read_lines(path, CorpusError))
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """A (name, class, identifier) mention; ``None`` marks an unspecified feature.
 
     Document-level annotations carry a character span ``[start, end)`` into the
@@ -64,6 +62,9 @@ class AnnotatedDocument:
     text: str
     annotations: tuple[Annotation, ...]
     keyword_tokens: tuple[str, ...]
+    # Every token of the text but stopwords, annotated or not; the keyword
+    # baseline counts it.
+    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def annotation_from_record(rec: Mapping) -> Annotation:
     end = rec.get("end")
     if (start is None) != (end is None):
         raise CorpusError(f"annotation span needs both start and end: {rec!r}")
-    return Annotation(name=name, class_id=class_id, identifier=identifier, start=start, end=end)
+    return Annotation(name, class_id, identifier, start, end)
 
 
 def annotation_to_record(a: Annotation) -> dict:
@@ -154,13 +155,21 @@ def _document_fields(record: Mapping) -> tuple[str, str]:
 def _annotations(
     record: Mapping, key: str, kb: KnowledgeBase, taxonomy: ClassTaxonomy
 ) -> list[Annotation]:
-    """Parse and validate the list of annotation objects under ``key``."""
+    """Parse and validate the list of annotation objects under ``key``.
+
+    Validation reads only a mention's (name, class, identifier), so each
+    distinct mention is checked once, at its first occurrence.
+    """
     raw = record.get(key, [])
     if not isinstance(raw, list) or not all(isinstance(r, dict) for r in raw):
         raise CorpusError(f"{key} must be a list of objects")
     annotations = [annotation_from_record(r) for r in raw]
+    checked: set[tuple] = set()
     for a in annotations:
-        validate_annotation(a, kb, taxonomy)
+        mention = (a.name, a.class_id, a.identifier)
+        if mention not in checked:
+            validate_annotation(a, kb, taxonomy)
+            checked.add(mention)
     return annotations
 
 
@@ -170,10 +179,11 @@ def ingest_document(
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
 ) -> AnnotatedDocument:
-    """Validate one corpus record and compute its keyword tokens.
+    """Validate one corpus record and tokenize its text, once.
 
-    Keyword tokens are the tokens of the text that do not touch any annotated
-    span; tokens inside spans count only through their annotations.
+    ``tokens`` is the whole stopword-filtered token stream. ``keyword_tokens``
+    keeps those that do not touch any annotated span; tokens inside spans count
+    only through their annotations.
     """
     doc_id, text = _document_fields(record)
     try:
@@ -196,18 +206,29 @@ def ingest_document(
     except CorpusError as exc:
         raise CorpusError(f"document {doc_id!r}: {exc}") from None
 
-    # Sorted disjoint spans have sorted ends: the first span ending after a
-    # token's start is the only one the token can touch.
-    starts = [a.start for a in annotations]
-    ends = [a.end for a in annotations]
-    keyword_tokens = []
-    for tok, ts, te in tokenize_with_spans(text):
-        i = bisect_right(ends, ts)
-        if i == len(ends) or te <= starts[i]:
+    # Sorted disjoint spans have sorted ends, and tokens arrive in text order,
+    # so the first span ending after a token's start only moves forward; it is
+    # the only span the token can touch. A sentinel span past the text ends the
+    # walk.
+    past_end = len(text) + 1
+    starts = [a.start for a in annotations] + [past_end]
+    ends = [a.end for a in annotations] + [past_end]
+    stopwords = stopwords or ()
+    tokens, keyword_tokens = [], []
+    i = 0
+    for m in TOKEN_RE.finditer(text):
+        tok = m.group().casefold()
+        if tok in stopwords:
+            continue
+        ts, te = m.span()
+        while ends[i] <= ts:
+            i += 1
+        tokens.append(tok)
+        if te <= starts[i]:
             keyword_tokens.append(tok)
-    if stopwords:
-        keyword_tokens = [t for t in keyword_tokens if t not in stopwords]
-    return AnnotatedDocument(doc_id, text, tuple(annotations), tuple(keyword_tokens))
+    return AnnotatedDocument(
+        doc_id, text, tuple(annotations), tuple(keyword_tokens), tuple(tokens)
+    )
 
 
 def document_to_record(doc: AnnotatedDocument) -> dict:

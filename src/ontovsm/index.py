@@ -1,10 +1,10 @@
 """Inverted index over the partitioned term spaces.
 
 Six stored spaces: the five partitioned spaces (N, C, NC, I, KW) plus
-``KW_FULL``, which tokenizes the whole text with annotations ignored and backs
-the keyword-only baseline. ``UNIFIED`` is a seventh, derived space: the five
-partitioned spaces merged into one vector, with each term keeping the document
-frequency of its home space.
+``KW_FULL``, which counts ingest's whole token stream with annotations ignored
+and backs the keyword-only baseline. ``UNIFIED`` is a seventh, derived space:
+the five partitioned spaces merged into one vector, with each term keeping the
+document frequency of its home space.
 
 Term weights are tf.idf with idf(t) = ln(1 + N/df(t)) for a collection of N
 documents; a term that occurs nowhere gets weight zero. All per-space term
@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .corpus import AnnotatedDocument, is_plain_id, tokenize
+from .corpus import AnnotatedDocument, is_plain_id
 from .errors import IndexFormatError
 from .ontology import (
     ClassTaxonomy,
@@ -125,8 +125,11 @@ def build_index(
     taxonomy: ClassTaxonomy,
     stopwords: Iterable[str] = (),
 ) -> InvertedIndex:
-    """Index a collection; pass the stopword set the documents were loaded with."""
-    stopwords = frozenset(stopwords)
+    """Index a collection; pass the stopword set the documents were loaded with.
+
+    Ingest has already dropped the stopwords from every token stream, so the
+    set is only recorded here, for the queries.
+    """
     doc_ids: list[str] = []
     raw: dict[str, dict[Term, dict[str, int]]] = {s: {} for s in STORED_SPACES}
     # Shared by every document of this build: each distinct mention is
@@ -137,7 +140,7 @@ def build_index(
         for term, tf in _document_terms(doc, kb, taxonomy, expansions).items():
             raw[term.space].setdefault(term, {})[doc.doc_id] = tf
         # The keyword baseline sees the whole text as keywords, annotated or not.
-        for token, tf in Counter(tokenize(doc.text, stopwords)).items():
+        for token, tf in Counter(doc.tokens).items():
             raw["KW_FULL"].setdefault(keyword_term(token), {})[doc.doc_id] = tf
     return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords)
 

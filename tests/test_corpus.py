@@ -76,6 +76,38 @@ class TestAnnotationRecords:
         assert annotation_to_record(annotation_from_record(record)) == record
 
 
+# Validation checks each distinct mention once; a record still fails on its
+# first invalid annotation, whether that mention repeats or follows a repeated
+# valid one.
+REPEATED_MENTIONS = [
+    pytest.param(
+        {
+            "doc_id": "x",
+            "text": "Saigon Saigon",
+            "annotations": [
+                {"start": 0, "end": 6, "class": "Galaxy"},
+                {"start": 7, "end": 13, "class": "Galaxy"},
+            ],
+        },
+        "annotation names unknown class 'Galaxy'",
+        id="repeated-invalid",
+    ),
+    pytest.param(
+        {
+            "doc_id": "x",
+            "text": "Saigon Saigon Hanoi",
+            "annotations": [
+                {"start": 0, "end": 6, "name": "Saigon", "id": "e1"},
+                {"start": 7, "end": 13, "name": "Saigon", "id": "e1"},
+                {"start": 14, "end": 19, "name": "Hanoi", "id": "e1"},
+            ],
+        },
+        "annotation name 'Hanoi' is not an alias of entity 'e1'",
+        id="valid-then-invalid",
+    ),
+]
+
+
 class TestIngestDocument:
     def test_keywords_exclude_annotated_spans(self, kb, taxonomy):
         doc = ingest_document(corpusgen.CITY_DOC_RECORDS[0], kb, taxonomy)
@@ -200,6 +232,12 @@ class TestIngestDocument:
         with pytest.raises(CorpusError, match="alias"):
             ingest_document(record, kb, taxonomy)
 
+    @pytest.mark.parametrize("record, message", REPEATED_MENTIONS)
+    def test_repeated_mentions_fail_on_first_invalid(self, kb, taxonomy, record, message):
+        with pytest.raises(CorpusError) as err:
+            ingest_document(record, kb, taxonomy)
+        assert str(err.value) == f"document 'x': {message}"
+
     def test_alias_match_is_case_insensitive(self, kb, taxonomy):
         record = {
             "doc_id": "x",
@@ -296,6 +334,15 @@ class TestFileLoading:
         path = write_jsonl(tmp_path / "corpus.jsonl", records)
         with pytest.raises(CorpusError, match="record 2"):
             load_corpus(path, kb, taxonomy)
+
+    @pytest.mark.parametrize("record, message", REPEATED_MENTIONS)
+    def test_repeated_mentions_fail_with_record_number(
+        self, tmp_path, kb, taxonomy, record, message
+    ):
+        path = write_jsonl(tmp_path / "corpus.jsonl", [corpusgen.CITY_DOC_RECORDS[2], record])
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, kb, taxonomy)
+        assert str(err.value) == f"{path}, record 2: document 'x': {message}"
 
     def test_load_queries(self, tmp_path, kb, taxonomy):
         path = write_jsonl(tmp_path / "queries.jsonl", [corpusgen.UN_QUERY_RECORD])

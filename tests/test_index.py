@@ -164,6 +164,13 @@ class TestPersistence:
         save_index(index, tmp_path / "ix")
         assert load_index(tmp_path / "ix").stopwords == {"the"}
 
+    def test_stopwords_apply_at_ingest_only(self, city_docs, kb, taxonomy):
+        # The documents were ingested without stopwords, so build_index's set
+        # filters nothing; it is only recorded for the queries.
+        index = build_index(city_docs, kb, taxonomy, stopwords={"flows"})
+        assert index.postings(keyword_term("flows"), "KW_FULL") == {"d2": 1}
+        assert index.stopwords == {"flows"}
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(IndexFormatError, match="stats.json"):
             load_index(tmp_path / "nope")

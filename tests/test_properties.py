@@ -1,5 +1,6 @@
 """Property tests: interpolation against its per-level definition, document
-terms against per-occurrence expansion, query terms nested in document terms,
+terms against per-occurrence expansion, ingest's single token pass against
+tokenize and the per-token span rule, query terms nested in document terms,
 the filter-set laws, the score range, save/load/search identity, and loaders
 and subcommands fed fuzzed input files."""
 import contextlib
@@ -9,6 +10,7 @@ import io
 import json
 import operator
 import tempfile
+from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from ontovsm.corpus import (
     load_queries,
     load_stopword_file,
     query_from_record,
+    tokenize,
+    tokenize_with_spans,
 )
 from ontovsm.errors import EmptyQueryError, OntoVsmError
 from ontovsm.evaluation import (
@@ -178,6 +182,48 @@ def test_document_terms_match_per_occurrence_expansion(docs):
         expected = reference_document_terms(doc)
         assert document_terms(doc, KB, TAXONOMY) == expected
         assert indexed[doc.doc_id] == expected
+
+
+# "ß" and "İ" change length when case-folded; "_" and "." split tokens.
+SPAN_TEXT = st.text(st.sampled_from("ab ßİ_.1"), max_size=24)
+
+
+@st.composite
+def spanned_texts(draw):
+    """A text cut into consecutive segments, some of them annotated: so spans
+    start and end mid-word, touch each other and sit at either end."""
+    text = draw(SPAN_TEXT)
+    inner = st.sets(st.integers(1, len(text) - 1)) if len(text) > 1 else st.just(set())
+    bounds = sorted({0, len(text), *draw(inner)})
+    records = [
+        {"start": s, "end": e, "name": "x"}
+        for s, e in zip(bounds, bounds[1:])
+        if draw(st.booleans())
+    ]
+    tokens = tokenize(text)
+    stopwords = draw(st.none() | st.sets(st.sampled_from(tokens))) if tokens else None
+    return {"doc_id": "d", "text": text, "annotations": records}, stopwords
+
+
+def reference_keyword_tokens(doc, stopwords):
+    """The per-token rule: a token is a keyword unless the first span ending
+    after its start, found by bisection, begins before the token ends."""
+    starts = [a.start for a in doc.annotations]
+    ends = [a.end for a in doc.annotations]
+    kept = []
+    for tok, ts, te in tokenize_with_spans(doc.text):
+        i = bisect_right(ends, ts)
+        if (i == len(ends) or te <= starts[i]) and not (stopwords and tok in stopwords):
+            kept.append(tok)
+    return tuple(kept)
+
+
+@given(spanned_texts())
+def test_single_pass_matches_tokenize_and_span_rule(case):
+    record, stopwords = case
+    doc = ingest_document(record, KB, TAXONOMY, stopwords)
+    assert doc.tokens == tuple(tokenize(record["text"], stopwords))
+    assert doc.keyword_tokens == reference_keyword_tokens(doc, stopwords)
 
 
 @st.composite
