@@ -153,18 +153,18 @@ def _document_fields(record: Mapping) -> tuple[str, str]:
 
 
 def _annotations(
-    record: Mapping, key: str, kb: KnowledgeBase, taxonomy: ClassTaxonomy
+    record: Mapping, key: str, kb: KnowledgeBase, taxonomy: ClassTaxonomy, checked: set[tuple]
 ) -> list[Annotation]:
     """Parse and validate the list of annotation objects under ``key``.
 
     Validation reads only a mention's (name, class, identifier), so each
-    distinct mention is checked once, at its first occurrence.
+    distinct mention is checked once, at its first occurrence. ``checked``
+    holds the mentions found valid so far, by every record of one load.
     """
     raw = record.get(key, [])
     if not isinstance(raw, list) or not all(isinstance(r, dict) for r in raw):
         raise CorpusError(f"{key} must be a list of objects")
     annotations = [annotation_from_record(r) for r in raw]
-    checked: set[tuple] = set()
     for a in annotations:
         mention = (a.name, a.class_id, a.identifier)
         if mention not in checked:
@@ -185,9 +185,19 @@ def ingest_document(
     keeps those that do not touch any annotated span; tokens inside spans count
     only through their annotations.
     """
+    return _ingest(record, kb, taxonomy, stopwords, set())
+
+
+def _ingest(
+    record: Mapping,
+    kb: KnowledgeBase,
+    taxonomy: ClassTaxonomy,
+    stopwords: Collection[str] | None,
+    checked: set[tuple],
+) -> AnnotatedDocument:
     doc_id, text = _document_fields(record)
     try:
-        annotations = _annotations(record, "annotations", kb, taxonomy)
+        annotations = _annotations(record, "annotations", kb, taxonomy, checked)
         for a in annotations:
             if not a.has_span:
                 raise CorpusError("document annotation requires a character span")
@@ -246,13 +256,23 @@ def query_from_record(
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
 ) -> Query:
+    return _query(record, kb, taxonomy, stopwords, set())
+
+
+def _query(
+    record: Mapping,
+    kb: KnowledgeBase,
+    taxonomy: ClassTaxonomy,
+    stopwords: Collection[str] | None,
+    checked: set[tuple],
+) -> Query:
     query_id = _record_id(record, "query_id", "query")
     raw_keywords = record.get("keywords", [])
     if not isinstance(raw_keywords, list) or not all(isinstance(k, str) for k in raw_keywords):
         raise CorpusError(f"query {query_id!r} has a malformed keywords list")
     keywords = [tok for kw in raw_keywords for tok in tokenize(kw, stopwords)]
     try:
-        annotations = _annotations(record, "entities", kb, taxonomy)
+        annotations = _annotations(record, "entities", kb, taxonomy, checked)
         if any(a.has_span for a in annotations):
             raise CorpusError("query annotations must not carry spans")
     except CorpusError as exc:
@@ -283,8 +303,12 @@ def load_corpus(
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
 ) -> list[AnnotatedDocument]:
-    """Load and validate a line-delimited JSON corpus file."""
-    return _load_records(path, "doc_id", lambda r: ingest_document(r, kb, taxonomy, stopwords))
+    """Load and validate a line-delimited JSON corpus file.
+
+    Each distinct mention is validated once per call, not once per record.
+    """
+    checked: set[tuple] = set()
+    return _load_records(path, "doc_id", lambda r: _ingest(r, kb, taxonomy, stopwords, checked))
 
 
 def load_queries(
@@ -293,8 +317,12 @@ def load_queries(
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
 ) -> list[Query]:
-    """Load and validate a line-delimited JSON query file."""
-    return _load_records(path, "query_id", lambda r: query_from_record(r, kb, taxonomy, stopwords))
+    """Load and validate a line-delimited JSON query file.
+
+    Each distinct mention is validated once per call, not once per record.
+    """
+    checked: set[tuple] = set()
+    return _load_records(path, "query_id", lambda r: _query(r, kb, taxonomy, stopwords, checked))
 
 
 def load_raw_corpus(path: str | Path) -> list[tuple[str, str]]:

@@ -1,12 +1,15 @@
 """Ranked-run evaluation: 11-point interpolated precision and F-measure.
 
 A run is walked from the top; each rank contributes one (recall, precision)
-point. Points are interpolated to the eleven standard recall levels 0%, 10%,
-..., 100% and averaged arithmetically over queries, F values separately from
-precisions. Two interpolation modes exist: STANDARD takes the ceiling max
-over all points at or beyond a level; WINDOWED takes the max inside
-[r_j, r_j+1] and falls back to STANDARD when the window holds no point, so
-sparse runs never produce spurious zeros.
+point (``pr_points``). Points are interpolated to the eleven standard recall
+levels 0%, 10%, ..., 100% and averaged arithmetically over queries, F values
+separately from precisions. Only the points at relevant ranks can set an
+interpolated value, so ``evaluate_runs`` builds just those, plus one (0, 0)
+point when a non-empty run does not open with a relevant document. Two
+interpolation modes exist: STANDARD takes the ceiling max over all points at
+or beyond a level; WINDOWED takes the max inside [r_j, r_j+1] and falls back
+to STANDARD when the window holds no point, so sparse runs never produce
+spurious zeros.
 """
 from __future__ import annotations
 
@@ -192,13 +195,33 @@ def evaluate_runs(
         for query_id in run:
             if query_id not in qrels:
                 raise EvalError(f"run {label!r} references unjudged query {query_id!r}")
+    relevant = {q: {d for d, flag in qrels.judgments(q).items() if flag} for q in eval_ids}
     curves: dict[str, PRCurve] = {}
     for label, run in runs_by_model.items():
         per_query = [
-            curve_from_points(pr_points(q, run.get(q, []), qrels), mode) for q in eval_ids
+            curve_from_points(_relevant_points(run.get(q, ()), relevant[q]), mode)
+            for q in eval_ids
         ]
         curves[label] = average(per_query)
     return EvalReport(query_count=len(eval_ids), curves=curves)
+
+
+def _relevant_points(
+    ranked_doc_ids: Sequence[str], relevant: set[str]
+) -> list[tuple[float, float]]:
+    """The points of ``pr_points`` that interpolation can read: those at relevant
+    ranks, led by (0, 0) when rank 1 is not relevant.
+
+    Down to the next relevant rank, precision only falls at a constant recall,
+    so no other point sets a level's maximum. The (0, 0) point stands for the
+    ranks above the first relevant one, which can fill WINDOWED's first window.
+    """
+    ranks = [rank for rank, doc_id in enumerate(ranked_doc_ids, 1) if doc_id in relevant]
+    total = len(relevant)
+    points = [(seen / total, seen / rank) for seen, rank in enumerate(ranks, 1)]
+    if ranked_doc_ids and ranked_doc_ids[0] not in relevant:
+        points.insert(0, (0.0, 0.0))
+    return points
 
 
 def write_report(report: EvalReport, out_dir: str | Path) -> None:

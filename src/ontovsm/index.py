@@ -40,6 +40,11 @@ INDEX_VERSION = 2
 Postings = Mapping[str, Mapping[Term, Mapping[str, int]]]
 
 
+def idf_weight(n_docs: int, df: int) -> float:
+    """ln(1 + N/df) for a collection of ``n_docs`` documents; 0 for a term in none."""
+    return math.log(1.0 + n_docs / df) if df else 0.0
+
+
 def home_space(space: str) -> str:
     """The space of the terms stored under ``space``: ``KW_FULL`` holds ``KW`` terms."""
     return "KW" if space == "KW_FULL" else space
@@ -79,7 +84,7 @@ class InvertedIndex:
         for space, sp in self._postings.items():
             accs = (sumsq[space], sumsq["UNIFIED"]) if space in TERM_SPACES else (sumsq[space],)
             for term, plist in sp.items():
-                idf = self.idf(term, space)
+                idf = idf_weight(self.n_docs, len(plist))
                 for doc_id, tf in plist.items():
                     weight = tf * idf
                     for acc in accs:
@@ -110,10 +115,7 @@ class InvertedIndex:
         return len(self._space_of(term, space).get(term, ()))
 
     def idf(self, term: Term, space: str | None = None) -> float:
-        d = self.df(term, space)
-        if d == 0:
-            return 0.0
-        return math.log(1.0 + self.n_docs / d)
+        return idf_weight(self.n_docs, self.df(term, space))
 
     def postings(self, term: Term, space: str | None = None) -> dict[str, int]:
         return self._space_of(term, space).get(term, {})

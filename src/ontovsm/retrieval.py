@@ -14,9 +14,11 @@ blended models score alpha * entity + (1 - alpha) * cos over the partitioned
 keyword space. A filter side the query does not populate imposes no
 constraint on an intersection and contributes nothing to a union.
 
-Every model is thus a weighted sum of per-space cosines: a query compiles
-once into ``(space, term, c)`` entries, and a document scores
-``sum c * tf(d, term) / |d|_space`` over the postings of those terms.
+Every model is thus a weighted sum of per-space cosines, so a search needs only
+its query terms' postings and idfs. It reads each term once, in the stored
+space the model reads it from. The filter unions those postings, and the score
+plan folds them into ``(norms, postings, c)`` entries: a document scores
+``sum c * tf(d, term) / |d|_space`` over postings already in hand.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from typing import IO, Iterable, Mapping, NamedTuple
 
 from .corpus import Query
 from .errors import ConfigError, EmptyQueryError
-from .index import InvertedIndex, home_space
+from .index import InvertedIndex, idf_weight
 from .termspace import ENTITY_SPACES, Term, query_terms
 
 WEIGHT_TOLERANCE = 1e-9
@@ -101,6 +103,9 @@ class ModelConfig:
         return {"N": self.w_n, "C": self.w_c, "NC": self.w_nc, "I": self.w_i}
 
 
+DEFAULT_CONFIG = ModelConfig()
+
+
 class RankedResult(NamedTuple):
     doc_id: str
     score: float
@@ -117,27 +122,39 @@ def _model_terms(query: Query, index: InvertedIndex, model: ModelKind) -> set[Te
     return terms
 
 
-def _postings_union(index: InvertedIndex, terms: Iterable[Term], space: str) -> set[str]:
-    docs: set[str] = set()
-    for term in terms:
-        docs.update(index.postings(term, space))
-    return docs
+# One query term's postings in a stored space, and its idf there.
+Read = tuple[Mapping[str, int], float]
+# A space's document norms, one query term's postings there, and the term's c.
+PlanEntry = tuple[Mapping[str, float], Mapping[str, int], float]
 
 
-def _candidates(index: InvertedIndex, terms: set[Term], model: ModelKind) -> set[str]:
-    by_space: dict[str, list[Term]] = {}
-    for term in terms:
-        by_space.setdefault(term.space, []).append(term)
+def _read(index: InvertedIndex, terms: set[Term], model: ModelKind) -> dict[str, list[Read]]:
+    """Each query term's postings and idf, read once in the stored space the
+    model reads it from, grouped by that space in sorted term order.
+
+    A space is listed when the query has a term for it, even one no document
+    has, so the filter sides follow from the query's terms.
+    """
+    reads: dict[str, list[Read]] = {}
+    n_docs = index.n_docs
+    for term in sorted(terms):
+        if term.space == "KW":
+            space = model.keyword_space
+        else:
+            space = term.space if model.entity_side else None
+        if space is not None:
+            postings = index.postings(term, space)
+            reads.setdefault(space, []).append((postings, idf_weight(n_docs, len(postings))))
+    return reads
+
+
+def _candidates(reads: dict[str, list[Read]], model: ModelKind) -> set[str]:
     sides = []
-    if model.keyword_space is not None and "KW" in by_space:
-        sides.append(_postings_union(index, by_space["KW"], model.keyword_space))
+    if model.keyword_space in reads:
+        sides.append(set().union(*[p for p, _ in reads[model.keyword_space]]))
     # A space the query does not touch is skipped: an absent feature expresses
     # no constraint, so it must not empty the intersection.
-    entity = [
-        _postings_union(index, by_space[s], s)
-        for s in ENTITY_SPACES
-        if model.entity_side and s in by_space
-    ]
+    entity = [set().union(*[p for p, _ in reads[s]]) for s in ENTITY_SPACES if s in reads]
     if entity:
         sides.append(set.intersection(*entity) if model.overlapped else set.union(*entity))
     if not sides:
@@ -147,7 +164,7 @@ def _candidates(index: InvertedIndex, terms: set[Term], model: ModelKind) -> set
 
 def filter_documents(index: InvertedIndex, query: Query, model: ModelKind) -> set[str]:
     """Boolean first stage: the candidate set the model is allowed to rank."""
-    return _candidates(index, _model_terms(query, index, model), model)
+    return _candidates(_read(index, _model_terms(query, index, model), model), model)
 
 
 def _space_weights(model: ModelKind, config: ModelConfig) -> dict[str, float]:
@@ -162,34 +179,32 @@ def _space_weights(model: ModelKind, config: ModelConfig) -> dict[str, float]:
 
 
 def _plan(
-    index: InvertedIndex, terms: set[Term], model: ModelKind, config: ModelConfig
-) -> list[tuple[str, Term, float]]:
-    """``(space, term, c)`` entries with c = weight * idf_q * idf_d / |q|_space.
+    index: InvertedIndex, reads: dict[str, list[Read]], model: ModelKind, config: ModelConfig
+) -> list[PlanEntry]:
+    """``(norms, postings, c)`` entries with c = weight * idf_q * idf_d / |q|_space.
 
     Query weights are tf=1 times idf; terms the index never saw drop out.
+    ``UNIFIED`` takes every read in sorted term order: terms sort by space
+    first, so that is the reads of each space in sorted space order.
     """
     plan = []
     for space, weight in _space_weights(model, config).items():
-        home = home_space(space)
-        idfs = [
-            (t, index.idf(t, space))
-            for t in sorted(terms)
-            if space == "UNIFIED" or t.space == home
-        ]
-        idfs = [(t, w) for t, w in idfs if w > 0.0]
-        query_norm = math.sqrt(sum(w * w for _, w in idfs))
-        plan.extend((space, t, weight * w * w / query_norm) for t, w in idfs)
+        if space == "UNIFIED":
+            entries = [r for s in sorted(reads) for r in reads[s]]
+        else:
+            entries = reads.get(space, ())
+        idfs = [(p, w) for p, w in entries if w > 0.0]
+        query_norm = math.sqrt(sum([w * w for _, w in idfs]))
+        norms = index.norms[space]
+        plan += [(norms, p, weight * w * w / query_norm) for p, w in idfs]
     return plan
 
 
-def _accumulate(
-    index: InvertedIndex, plan: list[tuple[str, Term, float]], doc_ids: Iterable[str]
-) -> dict[str, float]:
+def _accumulate(plan: list[PlanEntry], doc_ids: Iterable[str]) -> dict[str, float]:
     """Term-at-a-time scores of ``doc_ids``, clamped to 1 and rounded."""
     scores = dict.fromkeys(doc_ids, 0.0)
-    for space, term, c in plan:
-        norms = index.norms[space]
-        for doc_id, tf in index.postings(term, space).items():
+    for norms, postings, c in plan:
+        for doc_id, tf in postings.items():
             if doc_id in scores:
                 scores[doc_id] += c * tf / norms[doc_id]
     # A perfect match can land a float ulp above 1; clamp it to exactly 1.
@@ -207,8 +222,8 @@ def score(
     if doc_id not in index.doc_set:
         raise KeyError(f"unknown document {doc_id!r}")
     terms = query_terms(query, index.kb, overlapped=model.overlapped)
-    plan = _plan(index, terms, model, config or ModelConfig())
-    return _accumulate(index, plan, (doc_id,))[doc_id]
+    plan = _plan(index, _read(index, terms, model), model, config or DEFAULT_CONFIG)
+    return _accumulate(plan, (doc_id,))[doc_id]
 
 
 def search(
@@ -221,9 +236,9 @@ def search(
     """Filter, score, and rank; ties break by ascending document id."""
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
-    terms = _model_terms(query, index, model)
-    plan = _plan(index, terms, model, config or ModelConfig())
-    scores = _accumulate(index, plan, _candidates(index, terms, model))
+    reads = _read(index, _model_terms(query, index, model), model)
+    plan = _plan(index, reads, model, config or DEFAULT_CONFIG)
+    scores = _accumulate(plan, _candidates(reads, model))
     ranked = sorted(scores.items())
     ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties keep doc id order
     return list(map(RankedResult._make, ranked[:top_k]))

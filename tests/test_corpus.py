@@ -3,6 +3,7 @@ import pytest
 
 import corpusgen
 from conftest import write_jsonl
+from ontovsm import corpus
 from ontovsm.corpus import (
     Annotation,
     GazetteerAnnotator,
@@ -343,6 +344,54 @@ class TestFileLoading:
         with pytest.raises(CorpusError) as err:
             load_corpus(path, kb, taxonomy)
         assert str(err.value) == f"{path}, record 2: document 'x': {message}"
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        """The (name, class, id) of every ``validate_annotation`` call, in order."""
+        calls = []
+        real = corpus.validate_annotation
+
+        def counting(a, kb, taxonomy):
+            calls.append((a.name, a.class_id, a.identifier))
+            real(a, kb, taxonomy)
+
+        monkeypatch.setattr(corpus, "validate_annotation", counting)
+        return calls
+
+    def test_one_validation_per_distinct_mention_per_load(
+        self, tmp_path, kb, taxonomy, validated
+    ):
+        valid = {"start": 0, "end": 6, "name": "Saigon", "id": "e1"}
+        invalid = {"start": 0, "end": 6, "name": "Saigon", "id": "e99"}
+        records = [
+            {"doc_id": "d1", "text": "Saigon", "annotations": [valid]},
+            {"doc_id": "d2", "text": "Saigon", "annotations": [valid]},
+            {
+                "doc_id": "d3",
+                "text": "Saigon Saigon",
+                "annotations": [invalid, dict(invalid, start=7, end=13)],
+            },
+        ]
+        path = write_jsonl(tmp_path / "corpus.jsonl", records[:2])
+        assert len(load_corpus(path, kb, taxonomy)) == 2
+        assert validated == [("Saigon", None, "e1")]
+        validated.clear()
+        path = write_jsonl(tmp_path / "corpus.jsonl", records)
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path, kb, taxonomy)
+        assert str(err.value) == (
+            f"{path}, record 3: document 'd3': annotation names unknown entity 'e99'"
+        )
+        assert validated == [("Saigon", None, "e1"), ("Saigon", None, "e99")]
+
+    def test_queries_validate_each_distinct_mention_once(self, tmp_path, kb, taxonomy, validated):
+        second = dict(corpusgen.UN_QUERY_RECORD, query_id="q2")
+        path = write_jsonl(tmp_path / "queries.jsonl", [corpusgen.UN_QUERY_RECORD, second])
+        assert len(load_queries(path, kb, taxonomy)) == 2
+        assert validated == [
+            (None, "Country", None),
+            ("United Nations", "InternationalOrganization", "e4"),
+        ]
 
     def test_load_queries(self, tmp_path, kb, taxonomy):
         path = write_jsonl(tmp_path / "queries.jsonl", [corpusgen.UN_QUERY_RECORD])

@@ -1,13 +1,16 @@
-"""Property tests: interpolation against its per-level definition, document
-terms against per-occurrence expansion, ingest's single token pass against
-tokenize and the per-token span rule, query terms nested in document terms,
-the filter-set laws, the score range, save/load/search identity, and loaders
-and subcommands fed fuzzed input files."""
+"""Property tests: interpolation against its per-level definition, evaluation
+against curves over every rank, document terms against per-occurrence
+expansion, ingest's single token pass against tokenize and the per-token span
+rule, query terms nested in document terms, the filter-set laws, the score
+range, search against a per-use reference scorer, save/load/search identity,
+and loaders and subcommands fed fuzzed input files."""
 import contextlib
 import copy
+import dataclasses
 import functools
 import io
 import json
+import math
 import operator
 import tempfile
 from bisect import bisect_right
@@ -35,6 +38,9 @@ from ontovsm.evaluation import (
     RECALL_LEVELS,
     InterpMode,
     Qrels,
+    average,
+    curve_from_points,
+    evaluate_runs,
     interpolate_11pt,
     load_qrels,
     load_run_file,
@@ -44,10 +50,12 @@ from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy, read_kb_file, read_taxonomy_file
 from ontovsm.retrieval import ALL_MODELS, ModelConfig, ModelKind, filter_documents, search
 from ontovsm.termspace import (
+    ENTITY_SPACES,
     TERM_SPACES,
     document_terms,
     expand_annotation,
     keyword_term,
+    query_terms,
     query_terms_nonoverlapped,
     query_terms_overlapped,
 )
@@ -91,6 +99,48 @@ def test_interpolation_matches_definition(case, mode):
     qrels, ranking = case
     points = pr_points("q", ranking, qrels)
     assert interpolate_11pt(points, mode) == reference_11pt(points, mode)
+
+
+@st.composite
+def judged_runs(draw):
+    """Judgments of several queries, and runs of several models in which a
+    judged query may be missing, empty, without a relevant document, or led
+    by one."""
+    pool = [f"d{i}" for i in range(draw(st.integers(1, 12)))]
+    judgments = {
+        f"q{j}": draw(st.dictionaries(st.sampled_from(pool), st.booleans(), min_size=1))
+        for j in range(draw(st.integers(1, 4)))
+    }
+    judgments["q0"][next(iter(judgments["q0"]))] = True
+    runs = {}
+    for m in range(draw(st.integers(1, 3))):
+        run = {}
+        for q, judged in judgments.items():
+            relevant = [d for d, flag in judged.items() if flag]
+            shape = draw(st.sampled_from(["missing", "empty", "no relevant", "relevant first", "any"]))
+            ranking = draw(st.lists(st.sampled_from(pool), unique=True))
+            if shape == "missing":
+                continue
+            if shape == "empty":
+                ranking = []
+            elif shape == "no relevant":
+                ranking = [d for d in ranking if d not in relevant]
+            elif shape == "relevant first" and relevant:
+                first = draw(st.sampled_from(relevant))
+                ranking = [first] + [d for d in ranking if d != first]
+            run[q] = ranking
+        runs[f"m{m}"] = run
+    return Qrels(judgments), runs
+
+
+@given(judged_runs(), st.sampled_from(list(InterpMode)))
+def test_evaluation_matches_curves_over_every_rank(case, mode):
+    qrels, runs = case
+    eval_ids = sorted(q for q in qrels.query_ids if qrels.relevant_count(q) > 0)
+    report = evaluate_runs(runs, qrels, mode)
+    for label, run in runs.items():
+        curves = [curve_from_points(pr_points(q, run.get(q, []), qrels), mode) for q in eval_ids]
+        assert report.curves[label] == average(curves)
 
 
 @st.composite
@@ -295,6 +345,80 @@ def test_filter_set_laws(collection, config):
             results = runs.get((query.query_id, model))
             assert (results is None) == (model not in sets)
             assert {r.doc_id for r in results or ()} <= sets.get(model, set())
+
+
+def reference_candidates(index, terms, model):
+    """The filter as it read the index term by term, sides present by terms."""
+    by_space = {}
+    for term in terms:
+        by_space.setdefault(term.space, []).append(term)
+    sides = []
+    if model.keyword_space is not None and "KW" in by_space:
+        sides.append(set().union(*(index.postings(t, model.keyword_space) for t in by_space["KW"])))
+    entity = [
+        set().union(*(index.postings(t, s) for t in by_space[s]))
+        for s in ENTITY_SPACES
+        if model.entity_side and s in by_space
+    ]
+    if entity:
+        sides.append(set.intersection(*entity) if model.overlapped else set.union(*entity))
+    if not sides:
+        return set()
+    return set.intersection(*sides) if model.conjunctive else set.union(*sides)
+
+
+def reference_search(index, query, model, config, top_k):
+    """Search with one ``index.idf`` and ``index.postings`` call per use: each
+    space sorts the query terms, weighs those of its home space, and adds
+    c * tf / |d| term by term in the same order as ``search``."""
+    terms = query_terms(query, KB, overlapped=model.overlapped)
+    scores = dict.fromkeys(reference_candidates(index, terms, model), 0.0)
+    if model.score == "entity":
+        weights = config.space_weights
+    elif model.score == "blend":
+        weights = {s: config.alpha * w for s, w in config.space_weights.items()}
+        weights["KW"] = 1.0 - config.alpha
+    else:
+        weights = {model.score: 1.0}
+    for space, weight in weights.items():
+        home = "KW" if space == "KW_FULL" else space
+        idfs = [
+            (t, index.idf(t, space))
+            for t in sorted(terms)
+            if space == "UNIFIED" or t.space == home
+        ]
+        idfs = [(t, w) for t, w in idfs if w > 0.0]
+        query_norm = math.sqrt(sum(w * w for _, w in idfs))
+        for t, w in idfs:
+            c = weight * w * w / query_norm
+            for doc_id, tf in index.postings(t, space).items():
+                if doc_id in scores:
+                    scores[doc_id] += c * tf / index.norms[space][doc_id]
+    rounded = {d: round(v, 12) if v < 1.0 else 1.0 for d, v in scores.items()}
+    return sorted(rounded.items(), key=lambda item: (-item[1], item[0]))[:top_k]
+
+
+@given(
+    collections(),
+    configs(),
+    st.sampled_from([None, 0.0, 1.0]),
+    st.sampled_from([0, 1, 3, 1000]),
+)
+def test_search_matches_per_use_reference(collection, config, alpha, top_k):
+    """Queries draw keywords from QUERY_VOCAB, which holds two words no
+    document has: such a keyword still empties an AND."""
+    index, query_list = collection
+    if alpha is not None:
+        config = dataclasses.replace(config, alpha=alpha)
+    for query in query_list:
+        for model in ALL_MODELS:
+            try:
+                results = search(index, query, model, config, top_k)
+            except EmptyQueryError:
+                continue
+            terms = query_terms(query, KB, overlapped=model.overlapped)
+            assert filter_documents(index, query, model) == reference_candidates(index, terms, model)
+            assert results == reference_search(index, query, model, config, top_k)
 
 
 @given(collections(), configs())
