@@ -14,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import evaluation
 from .corpus import (
     GazetteerAnnotator,
     annotation_to_record,
@@ -23,8 +22,8 @@ from .corpus import (
     load_raw_corpus,
     load_stopword_file,
 )
-from .errors import EmptyQueryError, OntoVsmError
-from .evaluation import InterpMode, load_qrels, load_run_file
+from .errors import EmptyQueryError, EvalError, OntoVsmError
+from .evaluation import InterpMode, evaluate_runs, load_qrels, load_run_file, write_report
 from .index import (
     InvertedIndex,
     build_index,
@@ -179,9 +178,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for run_path in args.runs:
         label = Path(run_path).stem
         if label in runs_by_model:
-            raise evaluation.EvalError(f"two run files share the label {label!r}")
+            raise EvalError(f"two run files share the label {label!r}")
         runs_by_model[label] = load_run_file(run_path)
-    rep = evaluation.report(runs_by_model, qrels, args.out, InterpMode(args.interp))
+    rep = evaluate_runs(runs_by_model, qrels, InterpMode(args.interp))
+    write_report(rep, args.out)
     print(f"evaluated {len(rep.curves)} models over {rep.query_count} queries -> {args.out}")
     return 0
 
@@ -205,7 +205,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         path.stem: {q: [r.doc_id for r in results] for q, results in runs.items() if results}
         for path, runs in written
     }
-    rep = evaluation.report(runs_by_model, qrels, out_dir, InterpMode(args.interp))
+    rep = evaluate_runs(runs_by_model, qrels, InterpMode(args.interp))
+    write_report(rep, out_dir)
     print(f"evaluated {len(rep.curves)} models over {rep.query_count} queries -> {out_dir}")
     return 0
 

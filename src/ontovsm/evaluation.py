@@ -14,6 +14,7 @@ spurious zeros.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -70,25 +71,37 @@ def load_qrels(path: str | Path) -> Qrels:
 
 
 def load_run_file(path: str | Path) -> dict[str, list[str]]:
-    """Read a TREC run file back into per-query ranked document lists."""
+    """Read a TREC run file back into per-query ranked document lists.
+
+    Each query's lines must be in rank order, ranked 1, 2, 3, ..., and every
+    score must be a finite number.
+    """
     runs: dict[str, list[str]] = {}
     listed: dict[str, set[str]] = {}
     for lineno, line in read_lines(path, EvalError):
         fields = line.split()
         if len(fields) != 6:
             raise EvalError(f"{path}, line {lineno}: malformed run line {line!r}")
-        query_id, _, doc_id, _, score, _ = fields
+        query_id, _, doc_id, rank, score, _ = fields
         try:
-            float(score)
+            value = float(score)
         except ValueError:
-            raise EvalError(f"{path}, line {lineno}: bad score {score!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise EvalError(f"{path}, line {lineno}: bad score {score!r}")
+        ranked = runs.setdefault(query_id, [])
+        if rank != str(len(ranked) + 1):
+            raise EvalError(
+                f"{path}, line {lineno}: rank {rank!r} for {query_id!r}, "
+                f"expected {len(ranked) + 1}"
+            )
         seen = listed.setdefault(query_id, set())
         if doc_id in seen:
             raise EvalError(
                 f"{path}, line {lineno}: document {doc_id!r} listed twice for {query_id!r}"
             )
         seen.add(doc_id)
-        runs.setdefault(query_id, []).append(doc_id)
+        ranked.append(doc_id)
     return runs
 
 
@@ -230,16 +243,12 @@ def write_report(report: EvalReport, out_dir: str | Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     header = "model," + ",".join(str(round(level * 100)) for level in RECALL_LEVELS) + "\n"
 
-    with open(out_dir / "precision.csv", "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for label, curve in report.curves.items():
-            row = ",".join(f"{value * 100:.2f}" for value in curve.precisions)
-            fh.write(f"{label},{row}\n")
-    with open(out_dir / "f_measure.csv", "w", encoding="utf-8") as fh:
-        fh.write(header)
-        for label, curve in report.curves.items():
-            row = ",".join(f"{value * 100:.2f}" for value in curve.f_values)
-            fh.write(f"{label},{row}\n")
+    for name, values in (("precision.csv", "precisions"), ("f_measure.csv", "f_values")):
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            fh.write(header)
+            for label, curve in report.curves.items():
+                row = ",".join(f"{value * 100:.2f}" for value in getattr(curve, values))
+                fh.write(f"{label},{row}\n")
 
     curve_dir = out_dir / "curves"
     curve_dir.mkdir(exist_ok=True)
@@ -248,15 +257,3 @@ def write_report(report: EvalReport, out_dir: str | Path) -> None:
             fh.write("recall,precision,f_measure\n")
             for level, p, f in zip(RECALL_LEVELS, curve.precisions, curve.f_values):
                 fh.write(f"{round(level * 100)},{p:.6f},{f:.6f}\n")
-
-
-def report(
-    runs_by_model: Mapping[str, Run],
-    qrels: Qrels,
-    out_dir: str | Path,
-    mode: InterpMode = InterpMode.STANDARD,
-) -> EvalReport:
-    """Evaluate and write in one step."""
-    result = evaluate_runs(runs_by_model, qrels, mode)
-    write_report(result, out_dir)
-    return result

@@ -53,6 +53,12 @@ def home_space(space: str) -> str:
 class InvertedIndex:
     """Per-space term statistics for a fixed document collection.
 
+    It answers stored-space lookups only: ``postings``, ``terms`` and
+    ``term_count`` raise ``ValueError`` for any other space, ``UNIFIED``
+    included, which exists only in ``norms``. A term's df in a space is the
+    length of its postings there; ``retrieval._read`` decides which space a
+    query term is read in.
+
     The knowledge base and taxonomy that produced the expansion travel with
     the index, as does the stopword set, so queries can be interpreted against
     exactly the vocabulary the documents were indexed with.
@@ -95,11 +101,6 @@ class InvertedIndex:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def _space_of(self, term: Term, space: str | None) -> dict[Term, dict[str, int]]:
-        # UNIFIED holds no terms of its own; statistics come from the term's
-        # home space, which is what merging disjoint partitions preserves.
-        return self._stored(term.space if space in (None, "UNIFIED") else space)
-
     def _stored(self, space: str) -> dict[Term, dict[str, int]]:
         if space not in STORED_SPACES:
             raise ValueError(f"unknown term space {space!r}")
@@ -111,14 +112,8 @@ class InvertedIndex:
     def terms(self, space: str) -> list[Term]:
         return list(self._stored(space))
 
-    def df(self, term: Term, space: str | None = None) -> int:
-        return len(self._space_of(term, space).get(term, ()))
-
-    def idf(self, term: Term, space: str | None = None) -> float:
-        return idf_weight(self.n_docs, self.df(term, space))
-
-    def postings(self, term: Term, space: str | None = None) -> dict[str, int]:
-        return self._space_of(term, space).get(term, {})
+    def postings(self, term: Term, space: str) -> dict[str, int]:
+        return self._stored(space).get(term, {})
 
 
 def build_index(

@@ -14,10 +14,13 @@ blended models score alpha * entity + (1 - alpha) * cos over the partitioned
 keyword space. A filter side the query does not populate imposes no
 constraint on an intersection and contributes nothing to a union.
 
-Every model is thus a weighted sum of per-space cosines, so a search needs only
-its query terms' postings and idfs. It reads each term once, in the stored
-space the model reads it from. The filter unions those postings, and the score
-plan folds them into ``(norms, postings, c)`` entries: a document scores
+Every model is thus a weighted sum of per-space cosines, so a (query, model)
+pair needs only the postings and idfs of the query terms the model reads.
+``_read`` is the one place that decides them: it builds the model's query
+terms, reads each once in the stored space the model reads it from, and raises
+``EmptyQueryError`` when the model reads none. ``filter_documents``, ``search``
+and ``score`` all start from it. The filter unions those postings, and the
+score plan folds them into ``(norms, postings, c)`` entries: a document scores
 ``sum c * tf(d, term) / |d|_space`` over postings already in hand.
 """
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import IO, Iterable, Mapping, NamedTuple
 from .corpus import Query
 from .errors import ConfigError, EmptyQueryError
 from .index import InvertedIndex, idf_weight
-from .termspace import ENTITY_SPACES, Term, query_terms
+from .termspace import ENTITY_SPACES, query_terms
 
 WEIGHT_TOLERANCE = 1e-9
 # Scores are rounded to this many decimals, so that scores equal in exact
@@ -111,33 +114,24 @@ class RankedResult(NamedTuple):
     score: float
 
 
-def _model_terms(query: Query, index: InvertedIndex, model: ModelKind) -> set[Term]:
-    terms = query_terms(query, index.kb, overlapped=model.overlapped)
-    if not model.entity_side and all(t.space != "KW" for t in terms):
-        raise EmptyQueryError(f"query {query.query_id!r} has no keyword terms")
-    if model.keyword_space is None and all(t.space == "KW" for t in terms):
-        raise EmptyQueryError(f"query {query.query_id!r} has no entity annotations")
-    if not terms:
-        raise EmptyQueryError(f"query {query.query_id!r} contributes no terms")
-    return terms
-
-
 # One query term's postings in a stored space, and its idf there.
 Read = tuple[Mapping[str, int], float]
 # A space's document norms, one query term's postings there, and the term's c.
 PlanEntry = tuple[Mapping[str, float], Mapping[str, int], float]
 
 
-def _read(index: InvertedIndex, terms: set[Term], model: ModelKind) -> dict[str, list[Read]]:
-    """Each query term's postings and idf, read once in the stored space the
-    model reads it from, grouped by that space in sorted term order.
+def _read(index: InvertedIndex, query: Query, model: ModelKind) -> dict[str, list[Read]]:
+    """Each of the model's query terms read once, with its postings and idf, in
+    the stored space the model reads it from, grouped by that space in sorted
+    term order. The only place a query meets the index.
 
     A space is listed when the query has a term for it, even one no document
-    has, so the filter sides follow from the query's terms.
+    has, so the filter sides follow from the query's terms. A model that reads
+    no term of the query raises ``EmptyQueryError``.
     """
     reads: dict[str, list[Read]] = {}
     n_docs = index.n_docs
-    for term in sorted(terms):
+    for term in sorted(query_terms(query, index.kb, overlapped=model.overlapped)):
         if term.space == "KW":
             space = model.keyword_space
         else:
@@ -145,6 +139,12 @@ def _read(index: InvertedIndex, terms: set[Term], model: ModelKind) -> dict[str,
         if space is not None:
             postings = index.postings(term, space)
             reads.setdefault(space, []).append((postings, idf_weight(n_docs, len(postings))))
+    if not reads:
+        if not model.entity_side:
+            raise EmptyQueryError(f"query {query.query_id!r} has no keyword terms")
+        if model.keyword_space is None:
+            raise EmptyQueryError(f"query {query.query_id!r} has no entity annotations")
+        raise EmptyQueryError(f"query {query.query_id!r} contributes no terms")
     return reads
 
 
@@ -157,14 +157,12 @@ def _candidates(reads: dict[str, list[Read]], model: ModelKind) -> set[str]:
     entity = [set().union(*[p for p, _ in reads[s]]) for s in ENTITY_SPACES if s in reads]
     if entity:
         sides.append(set.intersection(*entity) if model.overlapped else set.union(*entity))
-    if not sides:
-        return set()
     return set.intersection(*sides) if model.conjunctive else set.union(*sides)
 
 
 def filter_documents(index: InvertedIndex, query: Query, model: ModelKind) -> set[str]:
     """Boolean first stage: the candidate set the model is allowed to rank."""
-    return _candidates(_read(index, _model_terms(query, index, model), model), model)
+    return _candidates(_read(index, query, model), model)
 
 
 def _space_weights(model: ModelKind, config: ModelConfig) -> dict[str, float]:
@@ -218,11 +216,13 @@ def score(
     model: ModelKind,
     config: ModelConfig | None = None,
 ) -> float:
-    """Similarity of one document to the query under one model, in [0, 1]."""
+    """Similarity of one document to the query under one model, in [0, 1].
+
+    Raises ``EmptyQueryError`` on the same (query, model) pairs as ``search``.
+    """
     if doc_id not in index.doc_set:
         raise KeyError(f"unknown document {doc_id!r}")
-    terms = query_terms(query, index.kb, overlapped=model.overlapped)
-    plan = _plan(index, _read(index, terms, model), model, config or DEFAULT_CONFIG)
+    plan = _plan(index, _read(index, query, model), model, config or DEFAULT_CONFIG)
     return _accumulate(plan, (doc_id,))[doc_id]
 
 
@@ -236,7 +236,7 @@ def search(
     """Filter, score, and rank; ties break by ascending document id."""
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
-    reads = _read(index, _model_terms(query, index, model), model)
+    reads = _read(index, query, model)
     plan = _plan(index, reads, model, config or DEFAULT_CONFIG)
     scores = _accumulate(plan, _candidates(reads, model))
     ranked = sorted(scores.items())

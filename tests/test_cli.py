@@ -272,6 +272,22 @@ class TestEval:
         assert rc == 2
         assert "label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            # The rank order puts r1 first; the line order does not.
+            ("q1 Q0 n1 2 0.4 t\nq1 Q0 r1 1 0.9 t\n", "line 1: rank '2' for 'q1', expected 1"),
+            ("q1 Q0 r1 one 0.9 t\n", "line 1: rank 'one' for 'q1', expected 1"),
+        ],
+    )
+    def test_ranks_out_of_line_order_rejected(self, tmp_path, capsys, run, message):
+        (tmp_path / "qrels.txt").write_text("q1 0 r1 1\nq1 0 n1 0\n")
+        (tmp_path / "t.run").write_text(run)
+        rc = main(["eval", str(tmp_path / "t.run"), "--qrels", str(tmp_path / "qrels.txt"),
+                   "--out", str(tmp_path / "report")])
+        assert_one_error_line(rc, capsys, f"{tmp_path / 't.run'}, {message}")
+        assert not (tmp_path / "report").exists()
+
     def test_windowed_interpolation_flag(self, tmp_path):
         # Relevant docs at ranks 5 and 6: the 40% column drops from the
         # ceiling max 33.33 to the in-window 20.00.

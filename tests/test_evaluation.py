@@ -17,7 +17,6 @@ from ontovsm.evaluation import (
     load_qrels,
     load_run_file,
     pr_points,
-    report,
     write_report,
 )
 from ontovsm.retrieval import RankedResult, write_run_file
@@ -83,6 +82,34 @@ class TestLoadRunFile:
         path.write_text("q1 Q0 d1 1 high m\n")
         with pytest.raises(EvalError, match="score"):
             load_run_file(path)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "model.run"
+        path.write_text(f"q1 Q0 d1 1 {score} m\n")
+        with pytest.raises(EvalError, match="line 1: bad score"):
+            load_run_file(path)
+
+    @pytest.mark.parametrize(
+        "lines, lineno",
+        [
+            (["q1 Q0 n1 2 0.4 m", "q1 Q0 r1 1 0.9 m"], 1),  # swapped ranks
+            (["q1 Q0 r1 1 0.9 m", "q1 Q0 n1 3 0.4 m"], 2),  # a skipped rank
+            (["q1 Q0 r1 one 0.9 m"], 1),
+            (["q1 Q0 r1 01 0.9 m"], 1),
+            (["q1 Q0 r1 1 0.9 m", "q2 Q0 r1 1 0.9 m", "q1 Q0 n1 1 0.4 m"], 3),
+        ],
+    )
+    def test_ranks_must_count_up_from_one(self, tmp_path, lines, lineno):
+        path = tmp_path / "model.run"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(EvalError, match=f"line {lineno}: rank"):
+            load_run_file(path)
+
+    def test_queries_may_interleave(self, tmp_path):
+        path = tmp_path / "model.run"
+        path.write_text("q1 Q0 d1 1 0.9 m\nq2 Q0 d1 1 0.8 m\nq1 Q0 d2 2 0.7 m\n")
+        assert load_run_file(path) == {"q1": ["d1", "d2"], "q2": ["d1"]}
 
 
 class TestPrPoints:
@@ -285,7 +312,7 @@ class TestWriteReport:
     def test_table_and_curve_files(self, tmp_path, simple_qrels):
         out = tmp_path / "report"
         runs = {"m": {"q1": ["r1", "n1", "r2"]}}
-        report(runs, simple_qrels, out)
+        write_report(evaluate_runs(runs, simple_qrels), out)
 
         header = "model," + ",".join(str(10 * j) for j in range(11))
         precision = (out / "precision.csv").read_text().splitlines()

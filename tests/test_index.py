@@ -9,12 +9,23 @@ import corpusgen
 from conftest import INDEX_CORRUPTIONS, write_version_1_index
 from ontovsm.corpus import ingest_document
 from ontovsm.errors import IndexFormatError
-from ontovsm.index import STORED_SPACES, build_index, dump_index, load_index, save_index
+from ontovsm.index import (
+    STORED_SPACES,
+    build_index,
+    dump_index,
+    idf_weight,
+    load_index,
+    save_index,
+)
 from ontovsm.retrieval import ModelKind, score
 from ontovsm.termspace import class_term, identifier_term, keyword_term, name_term
 
 LN4 = math.log(4.0)
 LN2_5 = math.log(2.5)
+
+
+def idf(index, term, space):
+    return idf_weight(index.n_docs, len(index.postings(term, space)))
 
 
 class TestBuild:
@@ -31,32 +42,32 @@ class TestBuild:
         assert city_index.term_count("KW_FULL") == 12
 
     def test_document_frequencies(self, city_index):
-        assert city_index.df(class_term("Location")) == 2
-        assert city_index.df(name_term("Saigon")) == 2
-        assert city_index.df(keyword_term("growing")) == 2
-        assert city_index.df(identifier_term("e1")) == 1
+        assert len(city_index.postings(class_term("Location"), "C")) == 2
+        assert len(city_index.postings(name_term("Saigon"), "N")) == 2
+        assert len(city_index.postings(keyword_term("growing"), "KW")) == 2
+        assert len(city_index.postings(identifier_term("e1"), "I")) == 1
 
     def test_unseen_term(self, city_index):
-        assert city_index.df(keyword_term("paris")) == 0
-        assert city_index.idf(keyword_term("paris")) == 0.0
+        assert len(city_index.postings(keyword_term("paris"), "KW")) == 0
+        assert idf(city_index, keyword_term("paris"), "KW") == 0.0
 
     def test_idf_formula(self, city_index):
         # ln(1 + 3/2) for df=2, ln(1 + 3/1) for df=1.
-        assert city_index.idf(class_term("Location")) == pytest.approx(LN2_5)
-        assert city_index.idf(identifier_term("e1")) == pytest.approx(LN4)
+        assert idf(city_index, class_term("Location"), "C") == pytest.approx(LN2_5)
+        assert idf(city_index, identifier_term("e1"), "I") == pytest.approx(LN4)
 
     def test_full_keyword_space_sees_annotated_tokens(self, city_index):
         # "city" occurs only inside an annotation span; the partitioned
         # keyword space never sees it, the full-text space does.
-        assert city_index.df(keyword_term("city"), "KW") == 0
-        assert city_index.df(keyword_term("city"), "KW_FULL") == 1
-        assert city_index.df(keyword_term("saigon"), "KW") == 0
-        assert city_index.df(keyword_term("saigon"), "KW_FULL") == 1
+        assert len(city_index.postings(keyword_term("city"), "KW")) == 0
+        assert len(city_index.postings(keyword_term("city"), "KW_FULL")) == 1
+        assert len(city_index.postings(keyword_term("saigon"), "KW")) == 0
+        assert len(city_index.postings(keyword_term("saigon"), "KW_FULL")) == 1
 
     def test_postings(self, city_index):
-        assert city_index.postings(name_term("Saigon")) == {"d1": 1, "d2": 1}
-        assert set(city_index.postings(keyword_term("growing"))) == {"d1", "d3"}
-        assert city_index.postings(keyword_term("paris")) == {}
+        assert city_index.postings(name_term("Saigon"), "N") == {"d1": 1, "d2": 1}
+        assert set(city_index.postings(keyword_term("growing"), "KW")) == {"d1", "d3"}
+        assert city_index.postings(keyword_term("paris"), "KW") == {}
 
     def test_terms_sorted(self, city_index):
         for space in ("N", "C", "NC", "I", "KW", "KW_FULL"):
@@ -67,7 +78,7 @@ class TestBuild:
 def weights(index, doc_id, space):
     """tf.idf weights of one document in one stored space."""
     return {
-        t: index.postings(t, space)[doc_id] * index.idf(t, space)
+        t: index.postings(t, space)[doc_id] * idf(index, t, space)
         for t in index.terms(space)
         if doc_id in index.postings(t, space)
     }
@@ -159,8 +170,8 @@ class TestPersistence:
             ingest_document(r, kb, taxonomy, {"the"}) for r in corpusgen.CITY_DOC_RECORDS
         ]
         index = build_index(docs, kb, taxonomy, {"the"})
-        assert index.df(keyword_term("the"), "KW") == 0
-        assert index.df(keyword_term("the"), "KW_FULL") == 0
+        assert len(index.postings(keyword_term("the"), "KW")) == 0
+        assert len(index.postings(keyword_term("the"), "KW_FULL")) == 0
         save_index(index, tmp_path / "ix")
         assert load_index(tmp_path / "ix").stopwords == {"the"}
 

@@ -2,7 +2,8 @@
 against curves over every rank, document terms against per-occurrence
 expansion, ingest's single token pass against tokenize and the per-token span
 rule, query terms nested in document terms, the filter-set laws, the score
-range, search against a per-use reference scorer, save/load/search identity,
+range, search against a per-use reference scorer, filter, search and score
+raising on the same queries and agreeing on scores, save/load/search identity,
 and loaders and subcommands fed fuzzed input files."""
 import contextlib
 import copy
@@ -46,9 +47,16 @@ from ontovsm.evaluation import (
     load_run_file,
     pr_points,
 )
-from ontovsm.index import build_index, load_index, save_index
+from ontovsm.index import build_index, idf_weight, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy, read_kb_file, read_taxonomy_file
-from ontovsm.retrieval import ALL_MODELS, ModelConfig, ModelKind, filter_documents, search
+from ontovsm.retrieval import (
+    ALL_MODELS,
+    ModelConfig,
+    ModelKind,
+    filter_documents,
+    score,
+    search,
+)
 from ontovsm.termspace import (
     ENTITY_SPACES,
     TERM_SPACES,
@@ -367,10 +375,15 @@ def reference_candidates(index, terms, model):
     return set.intersection(*sides) if model.conjunctive else set.union(*sides)
 
 
+def stored(term, space):
+    return term.space if space == "UNIFIED" else space
+
+
 def reference_search(index, query, model, config, top_k):
-    """Search with one ``index.idf`` and ``index.postings`` call per use: each
-    space sorts the query terms, weighs those of its home space, and adds
-    c * tf / |d| term by term in the same order as ``search``."""
+    """Search with one ``index.postings`` call per use: each space sorts the
+    query terms, weighs those of its home space, and adds c * tf / |d| term by
+    term in the same order as ``search``. ``UNIFIED`` reads a term in its home
+    space."""
     terms = query_terms(query, KB, overlapped=model.overlapped)
     scores = dict.fromkeys(reference_candidates(index, terms, model), 0.0)
     if model.score == "entity":
@@ -383,7 +396,7 @@ def reference_search(index, query, model, config, top_k):
     for space, weight in weights.items():
         home = "KW" if space == "KW_FULL" else space
         idfs = [
-            (t, index.idf(t, space))
+            (t, idf_weight(index.n_docs, len(index.postings(t, stored(t, space)))))
             for t in sorted(terms)
             if space == "UNIFIED" or t.space == home
         ]
@@ -391,7 +404,7 @@ def reference_search(index, query, model, config, top_k):
         query_norm = math.sqrt(sum(w * w for _, w in idfs))
         for t, w in idfs:
             c = weight * w * w / query_norm
-            for doc_id, tf in index.postings(t, space).items():
+            for doc_id, tf in index.postings(t, stored(t, space)).items():
                 if doc_id in scores:
                     scores[doc_id] += c * tf / index.norms[space][doc_id]
     rounded = {d: round(v, 12) if v < 1.0 else 1.0 for d, v in scores.items()}
@@ -419,6 +432,33 @@ def test_search_matches_per_use_reference(collection, config, alpha, top_k):
             terms = query_terms(query, KB, overlapped=model.overlapped)
             assert filter_documents(index, query, model) == reference_candidates(index, terms, model)
             assert results == reference_search(index, query, model, config, top_k)
+
+
+def empty_query_error(call, *args):
+    """The message of the ``EmptyQueryError`` that ``call`` raises, or None."""
+    try:
+        call(*args)
+    except EmptyQueryError as exc:
+        return str(exc)
+    return None
+
+
+@given(collections(), configs())
+def test_filter_search_and_score_share_one_read(collection, config):
+    """The three entry points raise the same error on the same (query, model)
+    pairs, and ``score`` gives every ranked document its ``search`` score."""
+    index, query_list = collection
+    for query in query_list:
+        for model in ALL_MODELS:
+            errors = {
+                empty_query_error(filter_documents, index, query, model),
+                empty_query_error(search, index, query, model, config),
+                empty_query_error(score, index, query, index.doc_ids[0], model, config),
+            }
+            assert len(errors) == 1
+            if errors == {None}:
+                for r in search(index, query, model, config, index.n_docs):
+                    assert score(index, query, r.doc_id, model, config) == r.score
 
 
 @given(collections(), configs())
