@@ -41,12 +41,15 @@ def _parse_models(value: str) -> list[ModelKind]:
     for name in value.split(","):
         name = name.strip()
         try:
-            models.append(ModelKind(name))
+            model = ModelKind(name)
         except ValueError:
             known = ", ".join(m.value for m in ALL_MODELS)
             raise argparse.ArgumentTypeError(
                 f"unknown model {name!r} (expected one of: {known})"
             ) from None
+        if model in models:
+            raise argparse.ArgumentTypeError(f"model {name!r} listed twice")
+        models.append(model)
     return models
 
 

@@ -340,50 +340,34 @@ class GazetteerAnnotator:
     """
 
     def __init__(self, kb: KnowledgeBase):
-        self.kb = kb
-        self._aliases: dict[tuple[str, ...], tuple[str, set[str]]] = {}
-        self._max_len = 0
+        # Each alias's token tuple maps to its annotation less the span: the
+        # first spelling seen, with class and identifier while one entity
+        # alone holds the alias.
+        self._table: dict[tuple[str, ...], Annotation] = {}
         for entity in kb.entities.values():
             for alias in entity.names:
                 key = tuple(tokenize(alias))
                 if not key:
                     continue
-                if key not in self._aliases:
-                    self._aliases[key] = (alias, set())
-                self._aliases[key][1].add(entity.identifier)
-                self._max_len = max(self._max_len, len(key))
+                seen = self._table.get(key)
+                if seen is None:
+                    self._table[key] = Annotation(alias, entity.class_id, entity.identifier)
+                elif seen.identifier != entity.identifier:
+                    self._table[key] = Annotation(seen.name)
+        self._max_len = max(map(len, self._table), default=0)
 
     def annotate(self, text: str) -> list[Annotation]:
         tokens = tokenize_with_spans(text)
+        words = [tok for tok, _, _ in tokens]
         out: list[Annotation] = []
         i = 0
         while i < len(tokens):
-            matched = False
             for length in range(min(self._max_len, len(tokens) - i), 0, -1):
-                key = tuple(tok for tok, _, _ in tokens[i : i + length])
-                hit = self._aliases.get(key)
-                if hit is None:
-                    continue
-                alias, ids = hit
-                start = tokens[i][1]
-                end = tokens[i + length - 1][2]
-                if len(ids) == 1:
-                    ident = next(iter(ids))
-                    entity = self.kb.resolve(ident)
-                    out.append(
-                        Annotation(
-                            name=alias,
-                            class_id=entity.class_id,
-                            identifier=ident,
-                            start=start,
-                            end=end,
-                        )
-                    )
-                else:
-                    out.append(Annotation(name=alias, start=start, end=end))
-                i += length
-                matched = True
-                break
-            if not matched:
+                hit = self._table.get(tuple(words[i : i + length]))
+                if hit is not None:
+                    out.append(hit._replace(start=tokens[i][1], end=tokens[i + length - 1][2]))
+                    i += length
+                    break
+            else:
                 i += 1
         return out

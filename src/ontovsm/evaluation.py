@@ -29,31 +29,13 @@ RECALL_LEVELS = tuple(j / 10 for j in range(11))
 # One ranked document list per query, in rank order.
 Run = Mapping[str, Sequence[str]]
 
+# Relevance judgments keyed by query, then document.
+Qrels = Mapping[str, Mapping[str, bool]]
+
 
 class InterpMode(enum.Enum):
     STANDARD = "standard"
     WINDOWED = "windowed"
-
-
-class Qrels:
-    """Relevance judgments keyed by query, then document."""
-
-    def __init__(self, judgments: Mapping[str, Mapping[str, bool]]):
-        self._judgments = {q: dict(docs) for q, docs in judgments.items()}
-
-    @property
-    def query_ids(self) -> list[str]:
-        return list(self._judgments)
-
-    def __contains__(self, query_id: str) -> bool:
-        return query_id in self._judgments
-
-    def relevant_count(self, query_id: str) -> int:
-        return sum(self._judgments.get(query_id, {}).values())
-
-    def judgments(self, query_id: str) -> Mapping[str, bool]:
-        """The query's judgments by document; empty for an unjudged query."""
-        return self._judgments.get(query_id, {})
 
 
 def load_qrels(path: str | Path) -> Qrels:
@@ -67,7 +49,7 @@ def load_qrels(path: str | Path) -> Qrels:
         if doc_id in judgments.get(query_id, {}):
             raise EvalError(f"{path}, line {lineno}: duplicate judgment for ({query_id}, {doc_id})")
         judgments.setdefault(query_id, {})[doc_id] = flag == "1"
-    return Qrels(judgments)
+    return judgments
 
 
 def load_run_file(path: str | Path) -> dict[str, list[str]]:
@@ -109,12 +91,12 @@ def pr_points(
     query_id: str, ranked_doc_ids: Sequence[str], qrels: Qrels
 ) -> list[tuple[float, float]]:
     """One (recall, precision) point per rank position, top to bottom."""
-    if query_id not in qrels:
+    judged = qrels.get(query_id)
+    if judged is None:
         raise EvalError(f"query {query_id!r} has no relevance judgments")
-    total = qrels.relevant_count(query_id)
+    total = sum(judged.values())
     if total == 0:
         raise EvalError(f"query {query_id!r} has no relevant documents")
-    judged = qrels.judgments(query_id)
     points = []
     seen = 0
     for rank, doc_id in enumerate(ranked_doc_ids, start=1):
@@ -201,14 +183,14 @@ def evaluate_runs(
     A judged query missing from a run counts as an all-zero curve; a run query
     missing from the qrels is an error.
     """
-    eval_ids = sorted(q for q in qrels.query_ids if qrels.relevant_count(q) > 0)
+    eval_ids = sorted(q for q, judged in qrels.items() if any(judged.values()))
     if not eval_ids:
         raise EvalError("qrels contain no query with a relevant document")
     for label, run in runs_by_model.items():
         for query_id in run:
             if query_id not in qrels:
                 raise EvalError(f"run {label!r} references unjudged query {query_id!r}")
-    relevant = {q: {d for d, flag in qrels.judgments(q).items() if flag} for q in eval_ids}
+    relevant = {q: {d for d, flag in qrels[q].items() if flag} for q in eval_ids}
     curves: dict[str, PRCurve] = {}
     for label, run in runs_by_model.items():
         per_query = [

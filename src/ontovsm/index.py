@@ -37,7 +37,7 @@ VECTOR_SPACES = STORED_SPACES + ("UNIFIED",)
 INDEX_FORMAT = "ontovsm-index"
 INDEX_VERSION = 2
 
-Postings = Mapping[str, Mapping[Term, Mapping[str, int]]]
+Postings = Mapping[str, Mapping[Term, dict[str, int]]]
 
 
 def idf_weight(n_docs: int, df: int) -> float:
@@ -62,6 +62,9 @@ class InvertedIndex:
     The knowledge base and taxonomy that produced the expansion travel with
     the index, as does the stopword set, so queries can be interpreted against
     exactly the vocabulary the documents were indexed with.
+
+    The index keeps the posting lists it is given, uncopied: ``postings`` must
+    hold every stored space, and its lists must not change afterwards.
     """
 
     def __init__(
@@ -76,12 +79,11 @@ class InvertedIndex:
         self.kb = kb
         self.taxonomy = taxonomy
         self.stopwords = frozenset(stopwords)
-        self.doc_set = frozenset(self.doc_ids)
         # Normalize to sorted term order here so the build and load paths
         # produce identical iteration order, hence identical float sums.
         self._postings: dict[str, dict[Term, dict[str, int]]] = {
-            space: {t: dict(sp[t]) for t in sorted(sp)}
-            for space, sp in ((s, postings.get(s, {})) for s in STORED_SPACES)
+            space: {t: postings[space][t] for t in sorted(postings[space])}
+            for space in STORED_SPACES
         }
         # Each document's tf.idf vector length per vector space, absent where
         # it has no term. Squares are summed in sorted term order, and UNIFIED

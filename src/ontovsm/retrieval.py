@@ -220,7 +220,7 @@ def score(
 
     Raises ``EmptyQueryError`` on the same (query, model) pairs as ``search``.
     """
-    if doc_id not in index.doc_set:
+    if doc_id not in index.doc_ids:
         raise KeyError(f"unknown document {doc_id!r}")
     plan = _plan(index, _read(index, query, model), model, config or DEFAULT_CONFIG)
     return _accumulate(plan, (doc_id,))[doc_id]

@@ -132,6 +132,9 @@ INDEX_CORRUPTIONS = [
         _rewrite_stats(_repeat_first_doc_id), "lists document 'd1' twice", id="doc-id-twice"
     ),
     pytest.param(
+        _rewrite_stats(lambda stats: stats.pop("doc_ids")), "lacks a doc_ids list", id="no-doc-ids"
+    ),
+    pytest.param(
         _rewrite_stats(lambda stats: stats.update(doc_count=stats["doc_count"] + 1)),
         "doc_count",
         id="doc-count-mismatch",

@@ -12,7 +12,7 @@ from oracle import Oracle
 from ontovsm.cli import main
 from ontovsm.corpus import ingest_document, query_from_record, tokenize
 from ontovsm.errors import EmptyQueryError
-from ontovsm.evaluation import evaluate_runs, f_measure, interpolate_11pt, pr_points, Qrels
+from ontovsm.evaluation import evaluate_runs, f_measure, interpolate_11pt, pr_points
 from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import (
@@ -240,7 +240,7 @@ def test_criterion_6_filter_set_laws():
 def test_criterion_7_evaluation_kernel():
     """The hand-worked curve comes out exactly, and F at recall 0 is always 0."""
     with _criterion(7, "evaluation kernel"):
-        qrels = Qrels({"q1": {"r1": True, "n1": False, "r2": True}})
+        qrels = {"q1": {"r1": True, "n1": False, "r2": True}}
         points = pr_points("q1", ["r1", "n1", "r2"], qrels)
         assert interpolate_11pt(points) == (1.0,) * 6 + (2.0 / 3.0,) * 5
         assert f_measure(1.0, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -253,7 +253,7 @@ def test_criterion_7_evaluation_kernel():
             }
             for model in ALL_MODELS
         }
-        result = evaluate_runs(runs, Qrels(data["qrels"]))
+        result = evaluate_runs(runs, data["qrels"])
         assert len(result.curves) == 8
         for curve in result.curves.values():
             assert curve.f_values[0] == 0.0

@@ -1,6 +1,10 @@
-"""End-to-end command line behavior via main(argv)."""
+"""End-to-end command line behavior via main(argv), and once as a process."""
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,29 @@ class TestSearch:
         assert excinfo.value.code == 2
         assert "bm25" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["search", "compare"])
+    def test_repeated_model_rejected_by_parser(self, data_dir, capsys, command):
+        args = {
+            "search": ["--index", str(data_dir / "ix")],
+            "compare": [*base_args(data_dir), "--qrels", str(data_dir / "qrels.txt")],
+        }[command]
+        args += ["--queries", str(data_dir / "queries.jsonl")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *args, "--out", str(data_dir / "out"), "--models", "kw,ne-o,kw"])
+        assert excinfo.value.code == 2
+        assert "model 'kw' listed twice" in capsys.readouterr().err
+        assert not (data_dir / "out").exists()
+
+    def test_non_numeric_weight_rejected_by_parser(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "search", "--index", str(data_dir / "ix"),
+                "--queries", str(data_dir / "queries.jsonl"),
+                "--out", str(data_dir / "runs"), "--weights", "a,b,c,d",
+            ])
+        assert excinfo.value.code == 2
+        assert "non-numeric weight in 'a,b,c,d'" in capsys.readouterr().err
+
     def test_wrong_weight_count_rejected_by_parser(self, data_dir):
         with pytest.raises(SystemExit):
             main([
@@ -219,6 +246,31 @@ class TestSearch:
                 "--queries", str(data_dir / "queries.jsonl"),
                 "--out", str(data_dir / "runs"), "--top-k", "-1",
             ])
+
+    def test_non_integer_top_k_rejected_by_parser(self, data_dir, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "search", "--index", str(data_dir / "ix"),
+                "--queries", str(data_dir / "queries.jsonl"),
+                "--out", str(data_dir / "runs"), "--top-k", "1.5",
+            ])
+        assert excinfo.value.code == 2
+        assert "expected an integer, got '1.5'" in capsys.readouterr().err
+
+    def test_top_k_caps_each_query(self, data_dir):
+        index_dir = build(data_dir)
+        out_dir = data_dir / "runs"
+        rc = main([
+            "search", "--index", str(index_dir),
+            "--queries", str(data_dir / "queries.jsonl"),
+            "--out", str(out_dir), "--top-k", "1",
+        ])
+        assert rc == 0
+        runs = {p.stem: p.read_text().splitlines() for p in out_dir.iterdir()}
+        assert sorted(runs) == sorted(m.value for m in ALL_MODELS)
+        assert all(len(lines) <= 1 for lines in runs.values())
+        # Uncapped, ne-o ranks two documents for q1 (test_writes_one_run_per_model).
+        assert [line.split()[2] for line in runs["ne-o"]] == ["d2"]
 
     def test_inexpressible_query_warns_and_is_omitted(self, data_dir, capsys):
         index_dir = build(data_dir)
@@ -551,3 +603,31 @@ class TestDumpIndex:
         assert "space N: 4 terms" in out
         assert "space I: 2 terms" in out
         assert "I:e4" in out and "df=2" in out
+
+
+class TestProcess:
+    """The module run as ``python -m ontovsm.cli``, through ``sys.exit(main())``."""
+
+    @staticmethod
+    def run_cli(*args):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.run(
+            [sys.executable, "-m", "ontovsm.cli", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def test_error_exit_status_and_line(self, tmp_path):
+        result = self.run_cli("dump-index", "--index", str(tmp_path / "missing"))
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert result.stdout == ""
+
+    def test_build_index(self, data_dir):
+        result = self.run_cli("build-index", *base_args(data_dir), "--index", str(data_dir / "ix"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "indexed 3 docs; terms: N=4, C=4, NC=8, I=2, KW=5\n"

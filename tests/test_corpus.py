@@ -19,6 +19,7 @@ from ontovsm.corpus import (
     tokenize_with_spans,
 )
 from ontovsm.errors import CorpusError
+from ontovsm.ontology import load_knowledge_base, load_taxonomy
 
 
 class TestTokenize:
@@ -302,6 +303,12 @@ class TestQueries:
         assert q.keywords == ()
         assert len(q.annotations) == 1
 
+    @pytest.mark.parametrize("value", ["abc", 3, None, [3]], ids=repr)
+    def test_keywords_must_be_list_of_strings(self, kb, taxonomy, value):
+        record = {"query_id": "q", "keywords": value, "entities": [{"id": "e1"}]}
+        with pytest.raises(CorpusError, match="^query 'q' has a malformed keywords list"):
+            query_from_record(record, kb, taxonomy)
+
     @pytest.mark.parametrize("value", ["abc", 3, None, [3], [{"class": "City"}, []]], ids=repr)
     def test_entities_must_be_list_of_objects(self, kb, taxonomy, value):
         record = {"query_id": "q", "keywords": ["x"], "entities": value}
@@ -458,6 +465,29 @@ class TestGazetteer:
         doc = ingest_document(record, kb, taxonomy)
         assert len(doc.annotations) == 2
         assert doc.keyword_tokens == ("the", "meets")
+
+    def test_alias_spellings_and_sharing(self):
+        # e1's first two aliases tokenize alike, so the first spelling names
+        # them; "saigon" is shared three ways under case folding, and "!!!"
+        # has no token to match.
+        taxonomy = load_taxonomy([{"class": "City"}, {"class": "River"}])
+        kb = load_knowledge_base(
+            [
+                {
+                    "id": "e1",
+                    "class": "City",
+                    "names": ["Ho Chi Minh City", "Ho-Chi-Minh City", "Saigon"],
+                },
+                {"id": "e2", "class": "River", "names": ["SAIGON", "!!!"]},
+                {"id": "e3", "class": "City", "names": ["saigon"]},
+            ],
+            taxonomy,
+        )
+        annotations = GazetteerAnnotator(kb).annotate("ho-chi-minh city and Saigon and !!!")
+        assert annotations == [
+            ("Ho Chi Minh City", "City", "e1", 0, 16),
+            ("Saigon", None, None, 21, 27),
+        ]
 
     def test_reusable_annotator(self, kb):
         annotator = GazetteerAnnotator(kb)

@@ -8,7 +8,6 @@ from ontovsm.evaluation import (
     RECALL_LEVELS,
     InterpMode,
     PRCurve,
-    Qrels,
     average,
     curve_from_points,
     evaluate_runs,
@@ -27,7 +26,7 @@ TWO_THIRDS = 2.0 / 3.0
 @pytest.fixture
 def simple_qrels():
     # One query, two relevant documents out of three judged.
-    return Qrels({"q1": {"r1": True, "n1": False, "r2": True}})
+    return {"q1": {"r1": True, "n1": False, "r2": True}}
 
 
 class TestLoadQrels:
@@ -35,11 +34,8 @@ class TestLoadQrels:
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 1\nq1 0 d2 0\n\nq2 0 d1 1\n")
         qrels = load_qrels(path)
-        assert qrels.query_ids == ["q1", "q2"]
-        assert qrels.relevant_count("q1") == 1
-        assert qrels.judgments("q2") == {"d1": True}
-        assert qrels.judgments("q1") == {"d1": True, "d2": False}
-        assert qrels.judgments("unjudged") == {}
+        assert qrels == {"q1": {"d1": True, "d2": False}, "q2": {"d1": True}}
+        assert list(qrels) == ["q1", "q2"]
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -122,7 +118,7 @@ class TestPrPoints:
         assert points == [(0.0, 0.0), (0.0, 0.0)]
 
     def test_perfect_single_result(self):
-        qrels = Qrels({"q1": {"d1": True}})
+        qrels = {"q1": {"d1": True}}
         assert pr_points("q1", ["d1"], qrels) == [(1.0, 1.0)]
 
     def test_empty_run_gives_no_points(self, simple_qrels):
@@ -133,7 +129,7 @@ class TestPrPoints:
             pr_points("q9", ["r1"], simple_qrels)
 
     def test_query_without_relevant_docs_rejected(self):
-        qrels = Qrels({"q1": {"d1": False}})
+        qrels = {"q1": {"d1": False}}
         with pytest.raises(EvalError, match="no relevant"):
             pr_points("q1", ["d1"], qrels)
 
@@ -278,7 +274,7 @@ class TestEvaluateRuns:
         assert result.curves["m"] == expected
 
     def test_query_missing_from_run_counts_as_zero(self):
-        qrels = Qrels({"q1": {"d1": True}, "q2": {"d2": True}})
+        qrels = {"q1": {"d1": True}, "q2": {"d2": True}}
         runs = {"m": {"q1": ["d1"]}}
         result = evaluate_runs(runs, qrels)
         assert result.query_count == 2
@@ -286,7 +282,7 @@ class TestEvaluateRuns:
         assert result.curves["m"].precisions == (0.5,) * 11
 
     def test_unjudged_queries_skipped(self):
-        qrels = Qrels({"q1": {"d1": True}, "q2": {"d2": False}})
+        qrels = {"q1": {"d1": True}, "q2": {"d2": False}}
         result = evaluate_runs({"m": {"q1": ["d1"]}}, qrels)
         assert result.query_count == 1
 
@@ -295,12 +291,12 @@ class TestEvaluateRuns:
             evaluate_runs({"m": {"q9": ["d1"]}}, simple_qrels)
 
     def test_no_relevant_queries_rejected(self):
-        qrels = Qrels({"q1": {"d1": False}})
+        qrels = {"q1": {"d1": False}}
         with pytest.raises(EvalError, match="no query"):
             evaluate_runs({"m": {}}, qrels)
 
     def test_interp_mode_changes_result(self):
-        qrels = Qrels({"q1": {"r1": True, "r2": True}})
+        qrels = {"q1": {"r1": True, "r2": True}}
         runs = {"m": {"q1": ["n1", "n2", "n3", "n4", "r1", "r2"]}}
         standard = evaluate_runs(runs, qrels)
         windowed = evaluate_runs(runs, qrels, InterpMode.WINDOWED)

@@ -38,7 +38,6 @@ from ontovsm.errors import EmptyQueryError, OntoVsmError
 from ontovsm.evaluation import (
     RECALL_LEVELS,
     InterpMode,
-    Qrels,
     average,
     curve_from_points,
     evaluate_runs,
@@ -99,7 +98,7 @@ def judged_rankings(draw):
     judged = draw(st.dictionaries(st.sampled_from(pool), st.booleans(), min_size=1))
     judged[next(iter(judged))] = True
     ranking = draw(st.lists(st.sampled_from(pool), unique=True))
-    return Qrels({"q": judged}), ranking
+    return {"q": judged}, ranking
 
 
 @given(judged_rankings(), st.sampled_from(list(InterpMode)))
@@ -138,13 +137,13 @@ def judged_runs(draw):
                 ranking = [first] + [d for d in ranking if d != first]
             run[q] = ranking
         runs[f"m{m}"] = run
-    return Qrels(judgments), runs
+    return judgments, runs
 
 
 @given(judged_runs(), st.sampled_from(list(InterpMode)))
 def test_evaluation_matches_curves_over_every_rank(case, mode):
     qrels, runs = case
-    eval_ids = sorted(q for q in qrels.query_ids if qrels.relevant_count(q) > 0)
+    eval_ids = sorted(q for q, judged in qrels.items() if any(judged.values()))
     report = evaluate_runs(runs, qrels, mode)
     for label, run in runs.items():
         curves = [curve_from_points(pr_points(q, run.get(q, []), qrels), mode) for q in eval_ids]
