@@ -102,6 +102,17 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_collection_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--taxonomy", required=True, help="class taxonomy (JSONL)")
+    parser.add_argument("--kb", required=True, help="entity knowledge base (JSONL)")
+    parser.add_argument("--corpus", required=True, help="annotated corpus (JSONL)")
+    parser.add_argument("--stopwords", help="optional stopword file, one word per line")
+
+
+def _add_interp_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--interp", choices=[m.value for m in InterpMode], default="standard")
+
+
 def _read_collection(args: argparse.Namespace):
     """The corpus with the knowledge base, taxonomy and stopwords it was read against."""
     taxonomy = read_taxonomy_file(args.taxonomy)
@@ -227,11 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-index", help="index an annotated corpus")
-    p.add_argument("--taxonomy", required=True, help="class taxonomy (JSONL)")
-    p.add_argument("--kb", required=True, help="entity knowledge base (JSONL)")
-    p.add_argument("--corpus", required=True, help="annotated corpus (JSONL)")
+    _add_collection_options(p)
     p.add_argument("--index", required=True, help="output index directory")
-    p.add_argument("--stopwords", help="optional stopword file, one word per line")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("annotate", help="annotate raw text with gazetteer matches")
@@ -252,19 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("runs", nargs="+", help="run files; the file stem names the model")
     p.add_argument("--qrels", required=True, help="judgments file")
     p.add_argument("--out", required=True, help="directory for report tables and curves")
-    p.add_argument("--interp", choices=[m.value for m in InterpMode], default="standard")
+    _add_interp_option(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="build, search every model, and evaluate")
-    p.add_argument("--taxonomy", required=True)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--corpus", required=True)
+    _add_collection_options(p)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="output directory (runs/ plus report files)")
     p.add_argument("--index", help="optionally persist the built index here")
-    p.add_argument("--stopwords")
-    p.add_argument("--interp", choices=[m.value for m in InterpMode], default="standard")
+    _add_interp_option(p)
     _add_model_options(p)
     p.set_defaults(func=cmd_compare)
 

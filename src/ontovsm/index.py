@@ -64,7 +64,8 @@ class InvertedIndex:
     exactly the vocabulary the documents were indexed with.
 
     The index keeps the posting lists it is given, uncopied: ``postings`` must
-    hold every stored space, and its lists must not change afterwards.
+    hold every stored space, and its lists must not change afterwards. Both
+    builders key every posting on the string in ``doc_ids``, so each id is held once.
     """
 
     def __init__(
@@ -170,7 +171,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     _write_jsonl(
         path / "taxonomy.jsonl",
         [
-            {"class": c, "parents": sorted(parents)}
+            {"class": c, "parents": list(parents)}
             for c, parents in index.taxonomy.parents.items()
         ],
     )
@@ -215,13 +216,14 @@ def load_index(path: str | Path) -> InvertedIndex:
     doc_ids = stats.get("doc_ids")
     if not isinstance(doc_ids, list):
         raise IndexFormatError(f"{path}: stats.json lacks a doc_ids list")
-    doc_set: set[str] = set()
+    # Each id maps to itself, so every posting can key on this one string.
+    known: dict[str, str] = {}
     for doc_id in doc_ids:
         if not is_plain_id(doc_id):
             raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
-        if doc_id in doc_set:
+        if doc_id in known:
             raise IndexFormatError(f"{path}: stats.json lists document {doc_id!r} twice")
-        doc_set.add(doc_id)
+        known[doc_id] = doc_id
     if stats.get("doc_count") != len(doc_ids):
         raise IndexFormatError(
             f"{path}: stats.json's doc_count {stats.get('doc_count')!r} "
@@ -235,7 +237,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
         try:
             space, term, entries = row["space"], row["term"], row["postings"]
-            plist = {doc: tf for doc, tf in entries}
+            plist = {known.get(doc, doc): tf for doc, tf in entries}
         except (KeyError, TypeError, ValueError):
             raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
         if not (
@@ -249,7 +251,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         if len(plist) != len(entries):
             raise IndexFormatError(f"{path}: posting row lists a document twice: {row!r}")
         for doc, tf in plist.items():
-            if doc not in doc_set:
+            if doc not in known:
                 raise IndexFormatError(f"{path}: posting names unknown document {doc!r}")
             # bool is an int subclass, so JSON true would pass isinstance.
             if type(tf) is not int or tf < 1:

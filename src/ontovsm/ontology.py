@@ -20,23 +20,20 @@ class ClassTaxonomy:
     """Subclass DAG over opaque class identifiers.
 
     A class may declare several parents; the parent relation must be acyclic.
+    ``parents`` maps each class to the sorted tuple of its distinct parents.
     ``ancestors`` is reflexive: every class is an ancestor of itself.
     """
 
     def __init__(self, parents: Mapping[str, Iterable[str]]):
-        self.parents: dict[str, frozenset[str]] = {
-            c: frozenset(parents[c]) for c in sorted(parents)
-        }
+        self.parents = {c: tuple(sorted(set(parents[c]))) for c in sorted(parents)}
         for child, direct in self.parents.items():
             for p in direct:
                 if p not in self.parents:
                     raise TaxonomyError(f"class {child!r} names undeclared parent {p!r}")
-        # Sorted parents make the class a cycle error names independent of set
-        # iteration order. Ancestors are walked on demand, so a deep chain costs
-        # memory linear in its length, not in the sum of its depths.
-        graph = {c: sorted(direct) for c, direct in self.parents.items()}
+        # Sorted parents fix the class a cycle error names. Ancestors are walked
+        # on demand, so a deep chain costs memory linear in its length.
         try:
-            TopologicalSorter(graph).prepare()
+            TopologicalSorter(self.parents).prepare()
         except CycleError as exc:
             cycle = exc.args[1]
             raise TaxonomyError(
@@ -129,21 +126,22 @@ def load_taxonomy(records: Iterable[Mapping]) -> ClassTaxonomy:
     return ClassTaxonomy(edges)
 
 
+def _entity_record(rec: Mapping) -> EntityRecord:
+    ident = rec.get("id")
+    cls = rec.get("class")
+    names = rec.get("names")
+    if not isinstance(ident, str) or not ident:
+        raise KnowledgeBaseError(f"entity record without an id: {rec!r}")
+    if not isinstance(cls, str) or not cls:
+        raise KnowledgeBaseError(f"entity {ident!r} has no class")
+    if not isinstance(names, list) or not all(isinstance(n, str) and n for n in names):
+        raise KnowledgeBaseError(f"entity {ident!r} has a malformed names list")
+    return EntityRecord(ident, cls, tuple(names))
+
+
 def load_knowledge_base(records: Iterable[Mapping], taxonomy: ClassTaxonomy) -> KnowledgeBase:
-    """Build a knowledge base from ``{"id", "class", "names"}`` records."""
-    entities = []
-    for rec in records:
-        ident = rec.get("id")
-        cls = rec.get("class")
-        names = rec.get("names")
-        if not isinstance(ident, str) or not ident:
-            raise KnowledgeBaseError(f"entity record without an id: {rec!r}")
-        if not isinstance(cls, str) or not cls:
-            raise KnowledgeBaseError(f"entity {ident!r} has no class")
-        if not isinstance(names, list) or not all(isinstance(n, str) and n for n in names):
-            raise KnowledgeBaseError(f"entity {ident!r} has a malformed names list")
-        entities.append(EntityRecord(ident, cls, tuple(names)))
-    return KnowledgeBase(entities, taxonomy)
+    """Build a knowledge base from ``{"id", "class", "names"}`` records, one at a time."""
+    return KnowledgeBase(map(_entity_record, records), taxonomy)
 
 
 # A \uXXXX escape can spell half a surrogate pair, which no UTF-8 output can hold.
@@ -170,9 +168,9 @@ def read_lines(path: str | Path, error_cls: type[Exception]) -> Iterator[tuple[i
             raise error_cls(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
-def read_jsonl(path: str | Path, error_cls: type[Exception]) -> list[dict]:
-    """Read one JSON object per non-blank line, raising ``error_cls`` with context."""
-    records = []
+def read_jsonl(path: str | Path, error_cls: type[Exception]) -> Iterator[dict]:
+    """Yield one JSON object per non-blank line as it is read, raising ``error_cls``
+    with context at the first bad line."""
     for lineno, line in read_lines(path, error_cls):
         try:
             rec = parse_json(line)
@@ -180,8 +178,7 @@ def read_jsonl(path: str | Path, error_cls: type[Exception]) -> list[dict]:
             raise error_cls(f"{path}, line {lineno}: {exc}") from None
         if not isinstance(rec, dict):
             raise error_cls(f"{path}, line {lineno}: expected a JSON object")
-        records.append(rec)
-    return records
+        yield rec
 
 
 def read_taxonomy_file(path: str | Path) -> ClassTaxonomy:

@@ -19,9 +19,9 @@ pair needs only the postings and idfs of the query terms the model reads.
 ``_read`` is the one place that decides them: it builds the model's query
 terms, reads each once in the stored space the model reads it from, and raises
 ``EmptyQueryError`` when the model reads none. ``filter_documents``, ``search``
-and ``score`` all start from it. The filter unions those postings, and the
-score plan folds them into ``(norms, postings, c)`` entries: a document scores
-``sum c * tf(d, term) / |d|_space`` over postings already in hand.
+and ``score`` all start from it. The filter unions those postings, and
+``_scores`` walks the model's spaces: a document scores
+``sum c * tf(d, term) / |d|_space`` over postings already in hand, one c per read.
 """
 from __future__ import annotations
 
@@ -116,8 +116,6 @@ class RankedResult(NamedTuple):
 
 # One query term's postings in a stored space, and its idf there.
 Read = tuple[Mapping[str, int], float]
-# A space's document norms, one query term's postings there, and the term's c.
-PlanEntry = tuple[Mapping[str, float], Mapping[str, int], float]
 
 
 def _read(index: InvertedIndex, query: Query, model: ModelKind) -> dict[str, list[Read]]:
@@ -176,16 +174,19 @@ def _space_weights(model: ModelKind, config: ModelConfig) -> dict[str, float]:
     return {model.score: 1.0}
 
 
-def _plan(
-    index: InvertedIndex, reads: dict[str, list[Read]], model: ModelKind, config: ModelConfig
-) -> list[PlanEntry]:
-    """``(norms, postings, c)`` entries with c = weight * idf_q * idf_d / |q|_space.
-
-    Query weights are tf=1 times idf; terms the index never saw drop out.
-    ``UNIFIED`` takes every read in sorted term order: terms sort by space
-    first, so that is the reads of each space in sorted space order.
-    """
-    plan = []
+def _scores(
+    index: InvertedIndex,
+    reads: dict[str, list[Read]],
+    model: ModelKind,
+    config: ModelConfig,
+    doc_ids: Iterable[str],
+) -> dict[str, float]:
+    """Term-at-a-time scores of ``doc_ids``, clamped to 1 and rounded. Each read
+    adds c * tf / |d|_space, c = weight * idf_q * idf_d / |q|_space, with query
+    weights tf=1 times idf; terms the index never saw drop out. ``UNIFIED`` takes
+    every read in sorted term order: terms sort by space first, so that is the
+    reads of each space in sorted space order."""
+    scores = dict.fromkeys(doc_ids, 0.0)
     for space, weight in _space_weights(model, config).items():
         if space == "UNIFIED":
             entries = [r for s in sorted(reads) for r in reads[s]]
@@ -194,17 +195,11 @@ def _plan(
         idfs = [(p, w) for p, w in entries if w > 0.0]
         query_norm = math.sqrt(sum([w * w for _, w in idfs]))
         norms = index.norms[space]
-        plan += [(norms, p, weight * w * w / query_norm) for p, w in idfs]
-    return plan
-
-
-def _accumulate(plan: list[PlanEntry], doc_ids: Iterable[str]) -> dict[str, float]:
-    """Term-at-a-time scores of ``doc_ids``, clamped to 1 and rounded."""
-    scores = dict.fromkeys(doc_ids, 0.0)
-    for norms, postings, c in plan:
-        for doc_id, tf in postings.items():
-            if doc_id in scores:
-                scores[doc_id] += c * tf / norms[doc_id]
+        for postings, w in idfs:
+            c = weight * w * w / query_norm
+            for doc_id, tf in postings.items():
+                if doc_id in scores:
+                    scores[doc_id] += c * tf / norms[doc_id]
     # A perfect match can land a float ulp above 1; clamp it to exactly 1.
     return {d: round(s, SCORE_DECIMALS) if s < 1.0 else 1.0 for d, s in scores.items()}
 
@@ -222,8 +217,8 @@ def score(
     """
     if doc_id not in index.doc_ids:
         raise KeyError(f"unknown document {doc_id!r}")
-    plan = _plan(index, _read(index, query, model), model, config or DEFAULT_CONFIG)
-    return _accumulate(plan, (doc_id,))[doc_id]
+    reads = _read(index, query, model)
+    return _scores(index, reads, model, config or DEFAULT_CONFIG, (doc_id,))[doc_id]
 
 
 def search(
@@ -237,8 +232,7 @@ def search(
     if top_k < 0:
         raise ValueError(f"top_k must be non-negative, got {top_k}")
     reads = _read(index, query, model)
-    plan = _plan(index, reads, model, config or DEFAULT_CONFIG)
-    scores = _accumulate(plan, _candidates(reads, model))
+    scores = _scores(index, reads, model, config or DEFAULT_CONFIG, _candidates(reads, model))
     ranked = sorted(scores.items())
     ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties keep doc id order
     return list(map(RankedResult._make, ranked[:top_k]))

@@ -360,6 +360,21 @@ class TestEval:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("command", ["build-index", "compare"])
+    def test_help_describes_collection_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        # argparse wraps help text to the terminal width.
+        out = " ".join(capsys.readouterr().out.split())
+        for text in [
+            "class taxonomy (JSONL)",
+            "entity knowledge base (JSONL)",
+            "annotated corpus (JSONL)",
+            "optional stopword file, one word per line",
+        ]:
+            assert text in out
+
     def test_full_pipeline(self, data_dir, capsys):
         out_dir = data_dir / "cmp"
         rc = main([

@@ -343,6 +343,14 @@ class TestFileLoading:
         with pytest.raises(CorpusError, match="record 2"):
             load_corpus(path, kb, taxonomy)
 
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, kb, taxonomy):
+        # A bad record comes before a line that is not JSON.
+        path = write_jsonl(tmp_path / "corpus.jsonl", [{"doc_id": "bad", "text": 7}])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        with pytest.raises(CorpusError, match="record 1"):
+            load_corpus(path, kb, taxonomy)
+
     @pytest.mark.parametrize("record, message", REPEATED_MENTIONS)
     def test_repeated_mentions_fail_with_record_number(
         self, tmp_path, kb, taxonomy, record, message

@@ -17,6 +17,7 @@ from ontovsm.index import (
     load_index,
     save_index,
 )
+from ontovsm.ontology import KnowledgeBase, load_taxonomy
 from ontovsm.retrieval import ModelKind, score
 from ontovsm.termspace import class_term, identifier_term, keyword_term, name_term
 
@@ -142,6 +143,24 @@ class TestPersistence:
         save_index(city_index, tmp_path / "ix")
         loaded = load_index(tmp_path / "ix")
         assert loaded.norms == city_index.norms
+
+    def test_loaded_postings_share_doc_id_strings(self, tmp_path, city_index):
+        save_index(city_index, tmp_path / "ix")
+        loaded = load_index(tmp_path / "ix")
+        # Looking an id up returns the very string that doc_ids holds.
+        listed = {doc_id: doc_id for doc_id in loaded.doc_ids}
+        keys = [d for s in STORED_SPACES for t in loaded.terms(s) for d in loaded.postings(t, s)]
+        keys += [d for norms in loaded.norms.values() for d in norms]
+        assert keys and all(d is listed[d] for d in keys)
+
+    def test_duplicate_parents_saved_once(self, tmp_path):
+        taxonomy = load_taxonomy([{"class": "A"}, {"class": "B", "parents": ["A", "A"]}])
+        save_index(build_index([], KnowledgeBase([], taxonomy), taxonomy), tmp_path / "ix")
+        rows = (tmp_path / "ix" / "taxonomy.jsonl").read_text().splitlines()
+        assert [json.loads(row) for row in rows] == [
+            {"class": "A", "parents": []},
+            {"class": "B", "parents": ["A"]},
+        ]
 
     def test_round_trip_preserves_kb(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")

@@ -17,6 +17,7 @@ from ontovsm.ontology import (
     ClassTaxonomy,
     load_knowledge_base,
     load_taxonomy,
+    read_jsonl,
     read_kb_file,
     read_taxonomy_file,
 )
@@ -84,6 +85,11 @@ class TestTaxonomy:
                     {"class": "C", "parents": ["B"]},
                 ]
             )
+
+    def test_duplicate_parents_collapse(self):
+        t = load_taxonomy([{"class": "A"}, {"class": "B", "parents": ["A", "A"]}])
+        assert t.parents["B"] == ("A",)
+        assert t.ancestors("B") == {"A", "B"}
 
     def test_malformed_records(self):
         with pytest.raises(TaxonomyError):
@@ -208,6 +214,23 @@ class TestFileLoading:
         path.write_text('{"class": "A"}\n' + line + "\n")
         with pytest.raises(TaxonomyError, match="line 2"):
             read_taxonomy_file(path)
+
+    def test_records_are_read_one_at_a_time(self, tmp_path):
+        path = tmp_path / "taxonomy.jsonl"
+        path.write_text('{"class": "A"}\nnot json\n')
+        records = read_jsonl(path, TaxonomyError)
+        assert next(records) == {"class": "A"}
+        with pytest.raises(TaxonomyError, match="line 2"):
+            next(records)
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # The repeated entity id comes before a line that is not JSON.
+        path = write_jsonl(tmp_path / "kb.jsonl", corpusgen.ENTITY_RECORDS[:1] * 2)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        taxonomy = load_taxonomy(corpusgen.TAXONOMY_RECORDS)
+        with pytest.raises(KnowledgeBaseError, match="duplicate entity identifier"):
+            read_kb_file(path, taxonomy)
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "kb.jsonl"
