@@ -32,7 +32,7 @@ from .index import (
     save_index,
 )
 from .ontology import read_kb_file, read_taxonomy_file
-from .retrieval import ALL_MODELS, ModelConfig, ModelKind, RankedResult, search, write_run_file
+from .retrieval import ALL_MODELS, ModelConfig, ModelKind, search, write_run_file
 from .termspace import TERM_SPACES
 
 
@@ -114,12 +114,12 @@ def _add_interp_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_collection(args: argparse.Namespace):
-    """The corpus with the knowledge base, taxonomy and stopwords it was read against."""
+    """Read the taxonomy, knowledge base and stopwords, and return the corpus
+    with them, unread: ``build_index`` reads each document as it indexes it."""
     taxonomy = read_taxonomy_file(args.taxonomy)
     kb = read_kb_file(args.kb, taxonomy)
     stopwords = load_stopword_file(args.stopwords) if args.stopwords else frozenset()
-    docs = load_corpus(args.corpus, kb, taxonomy, stopwords)
-    return docs, kb, taxonomy, stopwords
+    return load_corpus(args.corpus, kb, taxonomy, stopwords), kb, taxonomy, stopwords
 
 
 def _summary_line(index: InvertedIndex) -> str:
@@ -134,10 +134,12 @@ def _search_all(
     config: ModelConfig,
     top_k: int,
     run_dir: Path,
-) -> list[tuple[Path, dict[str, list[RankedResult]]]]:
-    """Search every model and write its run file; returns each file with its runs."""
+) -> dict[str, dict[str, list[str]]]:
+    """Search every model and write ``run_dir/<model>.run``. Returns each model's
+    ranked doc ids by query as ``load_run_file`` reads the file back: a query
+    without results writes no line, and ids hold no whitespace to split at."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    ranked = {}
     for model in models:
         runs = {}
         for query in queries:
@@ -146,10 +148,9 @@ def _search_all(
             except EmptyQueryError as exc:
                 # The model cannot express this query; its run stays empty for it.
                 print(f"warning: {model.value}: {exc}", file=sys.stderr)
-        path = run_dir / f"{model.value}.run"
-        write_run_file(runs, model.value, path)
-        written.append((path, runs))
-    return written
+        write_run_file(runs, model.value, run_dir / f"{model.value}.run")
+        ranked[model.value] = {q: [r.doc_id for r in rs] for q, rs in runs.items() if rs}
+    return ranked
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
@@ -180,9 +181,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     config = _model_config(args)  # reject bad weights before touching the index
     index = load_index(args.index)
     queries = load_queries(args.queries, index.kb, index.taxonomy, index.stopwords)
-    written = _search_all(index, queries, args.models, config, args.top_k, Path(args.out))
-    for path, _ in written:
-        print(f"wrote {path}")
+    run_dir = Path(args.out)
+    _search_all(index, queries, args.models, config, args.top_k, run_dir)
+    for model in args.models:
+        print(f"wrote {run_dir / model.value}.run")
     return 0
 
 
@@ -202,7 +204,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _model_config(args)
-    # Every input is read and checked before anything is built or written.
+    # Every input is read and checked before anything is saved or written;
+    # the corpus is read last, as the build indexes it.
     docs, kb, taxonomy, stopwords = _read_collection(args)
     queries = load_queries(args.queries, kb, taxonomy, stopwords)
     qrels = load_qrels(args.qrels)
@@ -211,14 +214,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         save_index(index, args.index)
     print(_summary_line(index))
     out_dir = Path(args.out)
-    written = _search_all(index, queries, args.models, config, args.top_k, out_dir / "runs")
-    # The runs as load_run_file would read the files back: a query with no
-    # results writes no line, so it is left out, and ids hold no whitespace,
-    # so each line splits back into the same ids.
-    runs_by_model = {
-        path.stem: {q: [r.doc_id for r in results] for q, results in runs.items() if results}
-        for path, runs in written
-    }
+    runs_by_model = _search_all(index, queries, args.models, config, args.top_k, out_dir / "runs")
     rep = evaluate_runs(runs_by_model, qrels, InterpMode(args.interp))
     write_report(rep, out_dir)
     print(f"evaluated {len(rep.curves)} models over {rep.query_count} queries -> {out_dir}")

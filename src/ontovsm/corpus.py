@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Mapping, NamedTuple
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple
 
 from .errors import CorpusError
 from .ontology import ClassTaxonomy, KnowledgeBase, read_jsonl, read_lines
@@ -282,19 +282,19 @@ def _query(
     return Query(query_id, tuple(keywords), tuple(annotations))
 
 
-def _load_records(path: str | Path, key: str, parse: Callable[[dict], object]) -> list:
+def _records(path: str | Path, key: str, parse: Callable[[dict], object]) -> Iterator:
     """Parse each record of a JSON Lines file with ``parse``, which checks the id
-    under ``key``; no two records may share one."""
-    items: dict[str, object] = {}
+    under ``key``, and yield it; no two records may share one."""
+    seen: set[str] = set()
     for number, rec in enumerate(read_jsonl(path, CorpusError), start=1):
         try:
             item = parse(rec)
         except CorpusError as exc:
             raise CorpusError(f"{path}, record {number}: {exc}") from None
-        if rec[key] in items:
+        if rec[key] in seen:
             raise CorpusError(f"{path}, record {number}: duplicate {key} {rec[key]!r}")
-        items[rec[key]] = item
-    return list(items.values())
+        seen.add(rec[key])
+        yield item
 
 
 def load_corpus(
@@ -302,13 +302,14 @@ def load_corpus(
     kb: KnowledgeBase,
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
-) -> list[AnnotatedDocument]:
-    """Load and validate a line-delimited JSON corpus file.
+) -> Iterator[AnnotatedDocument]:
+    """Validate a line-delimited JSON corpus file, yielding each document, or
+    raising its error, as it is read; wrap the call in ``list`` to keep them.
 
     Each distinct mention is validated once per call, not once per record.
     """
     checked: set[tuple] = set()
-    return _load_records(path, "doc_id", lambda r: _ingest(r, kb, taxonomy, stopwords, checked))
+    return _records(path, "doc_id", lambda r: _ingest(r, kb, taxonomy, stopwords, checked))
 
 
 def load_queries(
@@ -322,12 +323,12 @@ def load_queries(
     Each distinct mention is validated once per call, not once per record.
     """
     checked: set[tuple] = set()
-    return _load_records(path, "query_id", lambda r: _query(r, kb, taxonomy, stopwords, checked))
+    return list(_records(path, "query_id", lambda r: _query(r, kb, taxonomy, stopwords, checked)))
 
 
 def load_raw_corpus(path: str | Path) -> list[tuple[str, str]]:
     """Each record's ``(doc_id, text)`` under the corpus rules, ignoring annotations."""
-    return _load_records(path, "doc_id", _document_fields)
+    return list(_records(path, "doc_id", _document_fields))
 
 
 class GazetteerAnnotator:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .corpus import AnnotatedDocument, is_plain_id
-from .errors import IndexFormatError
+from .errors import CorpusError, IndexFormatError
 from .ontology import (
     ClassTaxonomy,
     KnowledgeBase,
@@ -130,13 +130,15 @@ def build_index(
     Ingest has already dropped the stopwords from every token stream, so the
     set is only recorded here, for the queries.
     """
-    doc_ids: list[str] = []
+    doc_ids: dict[str, None] = {}
     raw: dict[str, dict[Term, dict[str, int]]] = {s: {} for s in STORED_SPACES}
     # Shared by every document of this build: each distinct mention is
     # expanded once, however often the collection repeats it.
     expansions: dict = {}
     for doc in docs:
-        doc_ids.append(doc.doc_id)
+        if doc.doc_id in doc_ids:
+            raise CorpusError(f"document {doc.doc_id!r} indexed twice")
+        doc_ids[doc.doc_id] = None
         for term, tf in _document_terms(doc, kb, taxonomy, expansions).items():
             raw[term.space].setdefault(term, {})[doc.doc_id] = tf
         # The keyword baseline sees the whole text as keywords, annotated or not.

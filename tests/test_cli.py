@@ -460,6 +460,16 @@ class TestCompare:
         [
             ("qrels.txt", "q1 0 d1\n", "malformed qrels line"),
             ("queries.jsonl", json.dumps({"query_id": "q 1", "keywords": ["x"]}) + "\n", "'q 1'"),
+            # The build reads the corpus; its last record fails after every
+            # other document has been indexed.
+            (
+                "corpus.jsonl",
+                "".join(
+                    json.dumps(r) + "\n"
+                    for r in [*corpusgen.UN_DOC_RECORDS, corpusgen.UN_DOC_RECORDS[0]]
+                ),
+                "duplicate doc_id 'd1'",
+            ),
         ],
     )
     def test_bad_input_writes_nothing(self, data_dir, capsys, name, content, message):
@@ -476,6 +486,20 @@ class TestCompare:
         errors = captured.err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error:") and message in errors[0]
         assert not (out_dir / "runs").exists() and not index_dir.exists()
+
+    def test_queries_are_read_before_the_corpus(self, data_dir, capsys):
+        write_jsonl(data_dir / "corpus.jsonl", [{"doc_id": "d 1"}])
+        write_jsonl(data_dir / "queries.jsonl", [{"query_id": "q 1", "keywords": ["x"]}])
+        rc = main([
+            "compare", *base_args(data_dir),
+            "--queries", str(data_dir / "queries.jsonl"),
+            "--qrels", str(data_dir / "qrels.txt"),
+            "--out", str(data_dir / "cmp"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {data_dir / 'queries.jsonl'}, record 1: query_id 'q 1' contains whitespace"
+        ]
 
 
 class TestIdsWithWhitespace:

@@ -335,13 +335,13 @@ class TestFileLoading:
         records = [corpusgen.CITY_DOC_RECORDS[2], corpusgen.CITY_DOC_RECORDS[2]]
         path = write_jsonl(tmp_path / "corpus.jsonl", records)
         with pytest.raises(CorpusError, match="d3"):
-            load_corpus(path, kb, taxonomy)
+            list(load_corpus(path, kb, taxonomy))
 
     def test_error_carries_record_number(self, tmp_path, kb, taxonomy):
         records = [corpusgen.CITY_DOC_RECORDS[2], {"doc_id": "bad", "text": 7}]
         path = write_jsonl(tmp_path / "corpus.jsonl", records)
         with pytest.raises(CorpusError, match="record 2"):
-            load_corpus(path, kb, taxonomy)
+            list(load_corpus(path, kb, taxonomy))
 
     def test_first_fault_in_file_order_is_reported(self, tmp_path, kb, taxonomy):
         # A bad record comes before a line that is not JSON.
@@ -349,7 +349,7 @@ class TestFileLoading:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
         with pytest.raises(CorpusError, match="record 1"):
-            load_corpus(path, kb, taxonomy)
+            list(load_corpus(path, kb, taxonomy))
 
     @pytest.mark.parametrize("record, message", REPEATED_MENTIONS)
     def test_repeated_mentions_fail_with_record_number(
@@ -357,7 +357,7 @@ class TestFileLoading:
     ):
         path = write_jsonl(tmp_path / "corpus.jsonl", [corpusgen.CITY_DOC_RECORDS[2], record])
         with pytest.raises(CorpusError) as err:
-            load_corpus(path, kb, taxonomy)
+            list(load_corpus(path, kb, taxonomy))
         assert str(err.value) == f"{path}, record 2: document 'x': {message}"
 
     @pytest.fixture
@@ -388,12 +388,12 @@ class TestFileLoading:
             },
         ]
         path = write_jsonl(tmp_path / "corpus.jsonl", records[:2])
-        assert len(load_corpus(path, kb, taxonomy)) == 2
+        assert len(list(load_corpus(path, kb, taxonomy))) == 2
         assert validated == [("Saigon", None, "e1")]
         validated.clear()
         path = write_jsonl(tmp_path / "corpus.jsonl", records)
         with pytest.raises(CorpusError) as err:
-            load_corpus(path, kb, taxonomy)
+            list(load_corpus(path, kb, taxonomy))
         assert str(err.value) == (
             f"{path}, record 3: document 'd3': annotation names unknown entity 'e99'"
         )

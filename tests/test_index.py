@@ -8,7 +8,7 @@ import pytest
 import corpusgen
 from conftest import INDEX_CORRUPTIONS, write_version_1_index
 from ontovsm.corpus import ingest_document
-from ontovsm.errors import IndexFormatError
+from ontovsm.errors import CorpusError, IndexFormatError
 from ontovsm.index import (
     STORED_SPACES,
     build_index,
@@ -74,6 +74,11 @@ class TestBuild:
         for space in ("N", "C", "NC", "I", "KW", "KW_FULL"):
             terms = city_index.terms(space)
             assert terms == sorted(terms)
+
+    def test_duplicate_doc_id_rejected(self, city_docs, kb, taxonomy):
+        # Two documents under one id would count it twice in every idf.
+        with pytest.raises(CorpusError, match="'d1'"):
+            build_index([city_docs[0], city_docs[1], city_docs[0]], kb, taxonomy)
 
 
 def weights(index, doc_id, space):

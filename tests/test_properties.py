@@ -574,7 +574,7 @@ def write_inputs(directory, name, contents):
 LOADERS = {
     "taxonomy.jsonl": read_taxonomy_file,
     "kb.jsonl": lambda path: read_kb_file(path, TAXONOMY),
-    "corpus.jsonl": lambda path: load_corpus(path, KB, TAXONOMY),
+    "corpus.jsonl": lambda path: list(load_corpus(path, KB, TAXONOMY)),
     "queries.jsonl": lambda path: load_queries(path, KB, TAXONOMY),
     "stop.txt": load_stopword_file,
     "qrels.txt": load_qrels,
