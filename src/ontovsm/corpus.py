@@ -34,8 +34,13 @@ def tokenize_with_spans(text: str) -> list[tuple[str, int, int]]:
 
 
 def load_stopword_file(path: str | Path) -> frozenset[str]:
-    """One stopword per line, case-folded; blank lines ignored."""
-    return frozenset(line.casefold() for _, line in read_lines(path, CorpusError))
+    """One single-token stopword per line, case-folded; blank lines ignored."""
+    words = set()
+    for lineno, line in read_lines(path, CorpusError):
+        if tokenize(line) != [line.casefold()]:
+            raise CorpusError(f"{path}, line {lineno}: stopword {line!r} is not a single token")
+        words.add(line.casefold())
+    return frozenset(words)
 
 
 class Annotation(NamedTuple):

@@ -45,11 +45,6 @@ def idf_weight(n_docs: int, df: int) -> float:
     return math.log(1.0 + n_docs / df) if df else 0.0
 
 
-def home_space(space: str) -> str:
-    """The space of the terms stored under ``space``: ``KW_FULL`` holds ``KW`` terms."""
-    return "KW" if space == "KW_FULL" else space
-
-
 class InvertedIndex:
     """Per-space term statistics for a fixed document collection.
 
@@ -66,6 +61,7 @@ class InvertedIndex:
     The index keeps the posting lists it is given, uncopied: ``postings`` must
     hold every stored space, and its lists must not change afterwards. Both
     builders key every posting on the string in ``doc_ids``, so each id is held once.
+    A ``KW_FULL`` list equal to the ``KW`` list of its term, in order, is that list.
     """
 
     def __init__(
@@ -86,9 +82,13 @@ class InvertedIndex:
             space: {t: postings[space][t] for t in sorted(postings[space])}
             for space in STORED_SPACES
         }
-        # Each document's tf.idf vector length per vector space, absent where
-        # it has no term. Squares are summed in sorted term order, and UNIFIED
-        # runs on through the partitioned spaces in TERM_SPACES order.
+        kw, kw_full = self._postings["KW"], self._postings["KW_FULL"]
+        for term, plist in kw_full.items():
+            if kw.get(term) == plist and list(kw[term]) == list(plist):
+                kw_full[term] = kw[term]  # an existing key: the map does not resize
+        # Each document's tf.idf vector length per vector space, absent where it has
+        # no term. Squares sum in sorted term order, UNIFIED running on through the
+        # partitioned spaces in TERM_SPACES order; each sum is then rooted in place.
         sumsq: dict[str, dict[str, float]] = {s: {} for s in VECTOR_SPACES}
         for space, sp in self._postings.items():
             accs = (sumsq[space], sumsq["UNIFIED"]) if space in TERM_SPACES else (sumsq[space],)
@@ -98,7 +98,10 @@ class InvertedIndex:
                     weight = tf * idf
                     for acc in accs:
                         acc[doc_id] = acc.get(doc_id, 0.0) + weight * weight
-        self.norms = {s: {d: math.sqrt(v) for d, v in acc.items()} for s, acc in sumsq.items()}
+        for acc in sumsq.values():
+            for doc_id, v in acc.items():
+                acc[doc_id] = math.sqrt(v)
+        self.norms = sumsq
 
     @property
     def n_docs(self) -> int:
@@ -261,7 +264,8 @@ def load_index(path: str | Path) -> InvertedIndex:
                     f"{path}: posting of document {doc!r} has term frequency {tf!r}, "
                     "not a positive integer"
                 )
-        key = Term(home_space(space), *term)
+        # A KW_FULL row holds a KW term.
+        key = Term("KW" if space == "KW_FULL" else space, *term)
         if key in postings[space]:
             raise IndexFormatError(
                 f"{path}: two posting rows for term {format_term(key)} in space {space}"

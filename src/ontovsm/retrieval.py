@@ -218,6 +218,8 @@ def score(
     if doc_id not in index.doc_ids:
         raise KeyError(f"unknown document {doc_id!r}")
     reads = _read(index, query, model)
+    for rs in reads.values():  # narrowed to doc_id; each idf is still its whole list's
+        rs[:] = [({doc_id: p[doc_id]} if doc_id in p else {}, w) for p, w in rs]
     return _scores(index, reads, model, config or DEFAULT_CONFIG, (doc_id,))[doc_id]
 
 

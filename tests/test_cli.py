@@ -82,6 +82,19 @@ class TestBuildIndex:
         assert rc == 0
         assert "KW=3" in capsys.readouterr().out
 
+    def test_multi_token_stopword_rejected(self, data_dir, capsys):
+        (data_dir / "stop.txt").write_text("the\nnew york\n")
+        rc = main([
+            "build-index", *base_args(data_dir),
+            "--index", str(data_dir / "ix"),
+            "--stopwords", str(data_dir / "stop.txt"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line 2: stopword 'new york' is not a single token" in err
+        assert not (data_dir / "ix").exists()
+
 
 def annotate_args(data_dir, raw):
     return [

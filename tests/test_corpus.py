@@ -51,8 +51,18 @@ class TestTokenize:
 
 def test_stopword_file(tmp_path):
     path = tmp_path / "stop.txt"
-    path.write_text("The\n\nof\n")
-    assert load_stopword_file(path) == {"the", "of"}
+    path.write_text("The\n\nof\nStraße\n", encoding="utf-8")
+    assert load_stopword_file(path) == {"the", "of", "strasse"}
+
+
+@pytest.mark.parametrize("line", ["new york", "vietnam's", "_x"])
+def test_stopword_file_rejects_non_token_line(tmp_path, line):
+    # No token could ever equal such a line, so it would drop nothing.
+    path = tmp_path / "stop.txt"
+    path.write_text(f"the\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as excinfo:
+        load_stopword_file(path)
+    assert f"line 3: stopword {line!r} is not a single token" in str(excinfo.value)
 
 
 class TestAnnotationRecords:

@@ -81,6 +81,42 @@ class TestBuild:
             build_index([city_docs[0], city_docs[1], city_docs[0]], kb, taxonomy)
 
 
+@pytest.fixture(params=["built", "loaded"])
+def mixed_index(request, kb, taxonomy, tmp_path):
+    """The keyword "growing" never falls inside a mention. "saigon" does once
+    of its two times in d1 and not in d2, so its KW and KW_FULL lists differ."""
+    records = [
+        {
+            "doc_id": "d1",
+            "text": "Saigon is growing near saigon",
+            "annotations": [{"start": 0, "end": 6, "name": "Saigon"}],
+        },
+        {"doc_id": "d2", "text": "saigon keeps growing", "annotations": []},
+    ]
+    index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+    if request.param == "loaded":
+        save_index(index, tmp_path / "ix")
+        index = load_index(tmp_path / "ix")
+    return index
+
+
+class TestSharedKeywordLists:
+    def test_keyword_outside_mentions_has_one_list(self, mixed_index):
+        growing = keyword_term("growing")
+        assert mixed_index.postings(growing, "KW") == {"d1": 1, "d2": 1}
+        assert mixed_index.postings(growing, "KW_FULL") is mixed_index.postings(growing, "KW")
+        for term in mixed_index.terms("KW_FULL"):
+            full, kw = mixed_index.postings(term, "KW_FULL"), mixed_index.postings(term, "KW")
+            assert (full is kw) == (full == kw), term
+
+    def test_differing_lists_stay_apart(self, mixed_index):
+        saigon = keyword_term("saigon")
+        kw = mixed_index.postings(saigon, "KW")
+        assert kw == {"d1": 1, "d2": 1}
+        assert mixed_index.postings(saigon, "KW_FULL") == {"d1": 2, "d2": 1}
+        assert mixed_index.postings(saigon, "KW_FULL") is not kw
+
+
 def weights(index, doc_id, space):
     """tf.idf weights of one document in one stored space."""
     return {
@@ -188,6 +224,18 @@ class TestPersistence:
         save_index(load_index(tmp_path / "a"), tmp_path / "b")
         for name in ("stats.json", "postings.jsonl", "taxonomy.jsonl", "kb.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_reordered_full_keyword_row_saved_as_read(self, tmp_path, city_index):
+        # Its KW row lists the same (doc, tf) pairs in the other order; sharing
+        # that list would make the next save rewrite the row.
+        save_index(city_index, tmp_path / "a")
+        path = tmp_path / "a" / "postings.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        growing = {"space": "KW_FULL", "term": ["growing", ""], "postings": [["d1", 1], ["d3", 1]]}
+        rows[rows.index(growing)]["postings"].reverse()
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        save_index(load_index(tmp_path / "a"), tmp_path / "b")
+        assert (tmp_path / "b" / "postings.jsonl").read_bytes() == path.read_bytes()
 
     def test_stopwords_round_trip(self, tmp_path, kb, taxonomy):
         docs = [
