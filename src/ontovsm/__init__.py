@@ -46,6 +46,7 @@ from .evaluation import (
     load_run_file,
     pr_points,
     write_report,
+    write_run_file,
 )
 from .index import InvertedIndex, build_index, dump_index, load_index, save_index
 from .ontology import (
@@ -65,7 +66,6 @@ from .retrieval import (
     filter_documents,
     score,
     search,
-    write_run_file,
 )
 from .termspace import (
     Term,

@@ -10,29 +10,29 @@ nonzero with a single ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .corpus import (
     GazetteerAnnotator,
-    annotation_to_record,
+    document_record,
     load_corpus,
     load_queries,
     load_raw_corpus,
     load_stopword_file,
 )
 from .errors import EmptyQueryError, EvalError, OntoVsmError
-from .evaluation import InterpMode, evaluate_runs, load_qrels, load_run_file, write_report
-from .index import (
-    InvertedIndex,
-    build_index,
-    dump_index,
-    load_index,
-    save_index,
+from .evaluation import (
+    InterpMode,
+    evaluate_runs,
+    load_qrels,
+    load_run_file,
+    write_report,
+    write_run_file,
 )
-from .ontology import read_kb_file, read_taxonomy_file
-from .retrieval import ALL_MODELS, ModelConfig, ModelKind, search, write_run_file
+from .index import InvertedIndex, build_index, dump_index, load_index, save_index
+from .ontology import read_kb_file, read_taxonomy_file, write_jsonl
+from .retrieval import ALL_MODELS, ModelConfig, ModelKind, search
 from .termspace import TERM_SPACES
 
 
@@ -135,9 +135,7 @@ def _search_all(
     top_k: int,
     run_dir: Path,
 ) -> dict[str, dict[str, list[str]]]:
-    """Search every model and write ``run_dir/<model>.run``. Returns each model's
-    ranked doc ids by query as ``load_run_file`` reads the file back: a query
-    without results writes no line, and ids hold no whitespace to split at."""
+    """Search every model, write ``run_dir/<model>.run`` and return each model's run."""
     run_dir.mkdir(parents=True, exist_ok=True)
     ranked = {}
     for model in models:
@@ -148,8 +146,7 @@ def _search_all(
             except EmptyQueryError as exc:
                 # The model cannot express this query; its run stays empty for it.
                 print(f"warning: {model.value}: {exc}", file=sys.stderr)
-        write_run_file(runs, model.value, run_dir / f"{model.value}.run")
-        ranked[model.value] = {q: [r.doc_id for r in rs] for q, rs in runs.items() if rs}
+        ranked[model.value] = write_run_file(runs, model.value, run_dir / f"{model.value}.run")
     return ranked
 
 
@@ -165,14 +162,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     kb = read_kb_file(args.kb, taxonomy)
     annotator = GazetteerAnnotator(kb)
     docs = load_raw_corpus(args.corpus)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for doc_id, text in docs:
-            row = {
-                "doc_id": doc_id,
-                "text": text,
-                "annotations": [annotation_to_record(a) for a in annotator.annotate(text)],
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    rows = (document_record(d, text, annotator.annotate(text)) for d, text in docs)
+    write_jsonl(args.out, rows)
     print(f"annotated {len(docs)} docs -> {args.out}")
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Iterator, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CorpusError
 from .ontology import ClassTaxonomy, KnowledgeBase, read_jsonl, read_lines
@@ -246,13 +246,10 @@ def _ingest(
     )
 
 
-def document_to_record(doc: AnnotatedDocument) -> dict:
-    """The serialized form accepted back by ``ingest_document``."""
-    return {
-        "doc_id": doc.doc_id,
-        "text": doc.text,
-        "annotations": [annotation_to_record(a) for a in doc.annotations],
-    }
+def document_record(doc_id: str, text: str, annotations: Iterable[Annotation]) -> dict:
+    """The corpus record ``ingest_document`` reads a document back from."""
+    records = [annotation_to_record(a) for a in annotations]
+    return {"doc_id": doc_id, "text": text, "annotations": records}
 
 
 def query_from_record(

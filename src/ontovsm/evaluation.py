@@ -19,8 +19,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
+from .corpus import is_plain_id
 from .errors import EvalError
 from .ontology import read_lines
 
@@ -52,14 +53,32 @@ def load_qrels(path: str | Path) -> Qrels:
     return judgments
 
 
+def write_run_file(
+    runs: Mapping[str, Sequence[tuple[str, float]]], model_tag: str, out: IO[str] | str | Path
+) -> dict[str, list[str]]:
+    """TREC run lines ``<query_id> Q0 <doc_id> <rank> <score> <tag>`` from ranked
+    (doc id, score) pairs. Returns the run as ``load_run_file`` reads it back."""
+    if isinstance(out, (str, Path)):
+        with open(out, "w", encoding="utf-8") as fh:
+            return write_run_file(runs, model_tag, fh)
+    # One write per query, from a %-template with the query id and tag baked in.
+    tag = model_tag.replace("%", "%%")
+    ranked = {}
+    for query_id, results in runs.items():
+        line = query_id.replace("%", "%%") + " Q0 %s %d %.6f " + tag + "\n"
+        out.write("".join([line % (d, rank, s) for rank, (d, s) in enumerate(results, 1)]))
+        if results:  # a query without results writes no line
+            ranked[query_id] = [d for d, _ in results]
+    return ranked
+
+
 def load_run_file(path: str | Path) -> dict[str, list[str]]:
     """Read a TREC run file back into per-query ranked document lists.
 
     Each query's lines must be in rank order, ranked 1, 2, 3, ..., and every
     score must be a finite number.
     """
-    runs: dict[str, list[str]] = {}
-    listed: dict[str, set[str]] = {}
+    runs: dict[str, dict[str, None]] = {}  # per query, its doc ids in rank order
     for lineno, line in read_lines(path, EvalError):
         fields = line.split()
         if len(fields) != 6:
@@ -71,20 +90,18 @@ def load_run_file(path: str | Path) -> dict[str, list[str]]:
             value = math.nan
         if not math.isfinite(value):
             raise EvalError(f"{path}, line {lineno}: bad score {score!r}")
-        ranked = runs.setdefault(query_id, [])
+        ranked = runs.setdefault(query_id, {})
         if rank != str(len(ranked) + 1):
             raise EvalError(
                 f"{path}, line {lineno}: rank {rank!r} for {query_id!r}, "
                 f"expected {len(ranked) + 1}"
             )
-        seen = listed.setdefault(query_id, set())
-        if doc_id in seen:
+        if doc_id in ranked:
             raise EvalError(
                 f"{path}, line {lineno}: document {doc_id!r} listed twice for {query_id!r}"
             )
-        seen.add(doc_id)
-        ranked.append(doc_id)
-    return runs
+        ranked[doc_id] = None
+    return {query_id: list(ranked) for query_id, ranked in runs.items()}
 
 
 def pr_points(
@@ -221,6 +238,10 @@ def _relevant_points(
 
 def write_report(report: EvalReport, out_dir: str | Path) -> None:
     """Two percentage tables plus one plottable curve file per model."""
+    for label in report.curves:
+        # A label starts a CSV row and names a curve file.
+        if not is_plain_id(label) or "," in label:
+            raise EvalError(f"model label {label!r} is not an id without whitespace or commas")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = "model," + ",".join(str(round(level * 100)) for level in RECALL_LEVELS) + "\n"

@@ -24,10 +24,13 @@ from .errors import CorpusError, IndexFormatError
 from .ontology import (
     ClassTaxonomy,
     KnowledgeBase,
+    knowledge_base_records,
     load_knowledge_base,
     load_taxonomy,
     parse_json,
     read_jsonl,
+    taxonomy_records,
+    write_jsonl,
 )
 from .termspace import TERM_SPACES, Term, _document_terms, format_term, keyword_term
 
@@ -150,18 +153,12 @@ def build_index(
     return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords)
 
 
-def _write_jsonl(path: Path, rows: Iterable[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
-
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write an index directory that ``load_index`` restores exactly."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    _write_jsonl(
+    write_jsonl(
         path / "postings.jsonl",
         (
             {
@@ -173,20 +170,8 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
             for term, plist in index._postings[space].items()
         ),
     )
-    _write_jsonl(
-        path / "taxonomy.jsonl",
-        [
-            {"class": c, "parents": list(parents)}
-            for c, parents in index.taxonomy.parents.items()
-        ],
-    )
-    _write_jsonl(
-        path / "kb.jsonl",
-        [
-            {"id": e.identifier, "class": e.class_id, "names": list(e.names)}
-            for e in index.kb.entities.values()
-        ],
-    )
+    write_jsonl(path / "taxonomy.jsonl", taxonomy_records(index.taxonomy))
+    write_jsonl(path / "kb.jsonl", knowledge_base_records(index.kb))
     stats = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,

@@ -1,4 +1,4 @@
-"""Class taxonomy and entity knowledge base.
+"""Class taxonomy and entity knowledge base, and JSON Lines reading and writing.
 
 Both structures are validated at load time and immutable afterwards, so they
 are safe for unrestricted concurrent reads.
@@ -126,6 +126,11 @@ def load_taxonomy(records: Iterable[Mapping]) -> ClassTaxonomy:
     return ClassTaxonomy(edges)
 
 
+def taxonomy_records(taxonomy: ClassTaxonomy) -> Iterator[dict]:
+    """The records ``load_taxonomy`` builds ``taxonomy`` back from, by class."""
+    return ({"class": c, "parents": list(ps)} for c, ps in taxonomy.parents.items())
+
+
 def _entity_record(rec: Mapping) -> EntityRecord:
     ident = rec.get("id")
     cls = rec.get("class")
@@ -142,6 +147,12 @@ def _entity_record(rec: Mapping) -> EntityRecord:
 def load_knowledge_base(records: Iterable[Mapping], taxonomy: ClassTaxonomy) -> KnowledgeBase:
     """Build a knowledge base from ``{"id", "class", "names"}`` records, one at a time."""
     return KnowledgeBase(map(_entity_record, records), taxonomy)
+
+
+def knowledge_base_records(kb: KnowledgeBase) -> Iterator[dict]:
+    """The records ``load_knowledge_base`` builds ``kb`` back from, in its order."""
+    for e in kb.entities.values():
+        yield {"id": e.identifier, "class": e.class_id, "names": list(e.names)}
 
 
 # A \uXXXX escape can spell half a surrogate pair, which no UTF-8 output can hold.
@@ -179,6 +190,13 @@ def read_jsonl(path: str | Path, error_cls: type[Exception]) -> Iterator[dict]:
         if not isinstance(rec, dict):
             raise error_cls(f"{path}, line {lineno}: expected a JSON object")
         yield rec
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
+    """Write one JSON object per line, non-ASCII text unescaped, as ``read_jsonl`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def read_taxonomy_file(path: str | Path) -> ClassTaxonomy:

@@ -29,8 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import Query
 from .errors import ConfigError, EmptyQueryError
@@ -215,7 +214,8 @@ def score(
 
     Raises ``EmptyQueryError`` on the same (query, model) pairs as ``search``.
     """
-    if doc_id not in index.doc_ids:
+    # Only a termless document lacks a UNIFIED norm; the list scan is for it.
+    if doc_id not in index.norms["UNIFIED"] and doc_id not in index.doc_ids:
         raise KeyError(f"unknown document {doc_id!r}")
     reads = _read(index, query, model)
     for rs in reads.values():  # narrowed to doc_id; each idf is still its whole list's
@@ -238,18 +238,3 @@ def search(
     ranked = sorted(scores.items())
     ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties keep doc id order
     return list(map(RankedResult._make, ranked[:top_k]))
-
-
-def write_run_file(
-    runs: Mapping[str, list[RankedResult]], model_tag: str, out: IO[str] | str | Path
-) -> None:
-    """TREC run lines: ``<query_id> Q0 <doc_id> <rank> <score> <tag>``."""
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8") as fh:
-            write_run_file(runs, model_tag, fh)
-        return
-    # One write per query, from a %-template with the query id and tag baked in.
-    tag = model_tag.replace("%", "%%")
-    for query_id, results in runs.items():
-        line = query_id.replace("%", "%%") + " Q0 %s %d %.6f " + tag + "\n"
-        out.write("".join([line % (r.doc_id, rank, r.score) for rank, r in enumerate(results, 1)]))

@@ -353,6 +353,16 @@ class TestEval:
         assert_one_error_line(rc, capsys, f"{tmp_path / 't.run'}, {message}")
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("stem", ["a,b", "a b"])
+    def test_label_that_breaks_the_tables_rejected(self, tmp_path, capsys, stem):
+        # The label starts a CSV row, so a comma would add a column.
+        (tmp_path / "qrels.txt").write_text("q1 0 r1 1\n")
+        (tmp_path / f"{stem}.run").write_text("q1 Q0 r1 1 0.9 t\n")
+        rc = main(["eval", str(tmp_path / f"{stem}.run"), "--qrels", str(tmp_path / "qrels.txt"),
+                   "--out", str(tmp_path / "report")])
+        assert_one_error_line(rc, capsys, f"model label {stem!r}")
+        assert not (tmp_path / "report").exists()
+
     def test_windowed_interpolation_flag(self, tmp_path):
         # Relevant docs at ranks 5 and 6: the 40% column drops from the
         # ceiling max 33.33 to the in-window 20.00.

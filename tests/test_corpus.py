@@ -9,7 +9,7 @@ from ontovsm.corpus import (
     GazetteerAnnotator,
     annotation_from_record,
     annotation_to_record,
-    document_to_record,
+    document_record,
     ingest_document,
     load_corpus,
     load_queries,
@@ -276,7 +276,9 @@ class TestIngestDocument:
 
     def test_record_round_trip(self, kb, taxonomy, un_docs):
         for doc in un_docs:
-            again = ingest_document(document_to_record(doc), kb, taxonomy)
+            again = ingest_document(
+                document_record(doc.doc_id, doc.text, doc.annotations), kb, taxonomy
+            )
             assert again == doc
 
 

@@ -17,8 +17,9 @@ from ontovsm.evaluation import (
     load_run_file,
     pr_points,
     write_report,
+    write_run_file,
 )
-from ontovsm.retrieval import RankedResult, write_run_file
+from ontovsm.retrieval import RankedResult
 
 TWO_THIRDS = 2.0 / 3.0
 
@@ -60,6 +61,16 @@ class TestLoadRunFile:
         path = tmp_path / "model.run"
         write_run_file(runs, "model", path)
         assert load_run_file(path) == {"q1": ["d2", "d1"], "q2": ["d3"]}
+
+    def test_write_returns_the_run_read_back(self, tmp_path):
+        runs = {
+            "q%d": [RankedResult("d2", 0.75), RankedResult("d%s", 0.5)],
+            "q2": [],
+            "q3": [RankedResult("d1", 0.25)],
+        }
+        path = tmp_path / "m%s.run"
+        written = write_run_file(runs, "m%s", path)
+        assert written == load_run_file(path) == {"q%d": ["d2", "d%s"], "q3": ["d1"]}
 
     def test_duplicate_document_rejected(self, tmp_path):
         path = tmp_path / "model.run"
@@ -336,3 +347,10 @@ class TestWriteReport:
         assert [line.split(",")[0] for line in lines] == ["model", "a", "b"]
         assert (tmp_path / "r" / "curves" / "a.csv").exists()
         assert (tmp_path / "r" / "curves" / "b.csv").exists()
+
+    @pytest.mark.parametrize("label", ["a,b", "a b", ""])
+    def test_label_that_breaks_the_tables_rejected(self, tmp_path, simple_qrels, label):
+        result = evaluate_runs({"m": {"q1": ["r1"]}, label: {"q1": ["n1"]}}, simple_qrels)
+        with pytest.raises(EvalError, match="model label"):
+            write_report(result, tmp_path / "r")
+        assert not (tmp_path / "r").exists()

@@ -11,15 +11,18 @@ import pytest
 import corpusgen
 import oracle
 from conftest import write_jsonl
+from ontovsm import ontology
 from ontovsm.corpus import GazetteerAnnotator
 from ontovsm.errors import KnowledgeBaseError, TaxonomyError
 from ontovsm.ontology import (
     ClassTaxonomy,
+    knowledge_base_records,
     load_knowledge_base,
     load_taxonomy,
     read_jsonl,
     read_kb_file,
     read_taxonomy_file,
+    taxonomy_records,
 )
 
 
@@ -231,6 +234,24 @@ class TestFileLoading:
         taxonomy = load_taxonomy(corpusgen.TAXONOMY_RECORDS)
         with pytest.raises(KnowledgeBaseError, match="duplicate entity identifier"):
             read_kb_file(path, taxonomy)
+
+    def test_written_lines_read_back_unescaped(self, tmp_path):
+        rows = [{"id": "e1", "names": ["Straße"]}, {"id": "e2", "names": ["Hồ Chí Minh"]}]
+        path = tmp_path / "rows.jsonl"
+        ontology.write_jsonl(path, rows)
+        assert list(read_jsonl(path, KnowledgeBaseError)) == rows
+        assert path.read_text(encoding="utf-8") == (
+            '{"id": "e1", "names": ["Straße"]}\n{"id": "e2", "names": ["Hồ Chí Minh"]}\n'
+        )
+
+    def test_record_writers_invert_the_loaders(self):
+        # PortCity has two parents; the last entity's names are not ASCII.
+        taxonomy = load_taxonomy(corpusgen.SYNTH_TAXONOMY_RECORDS)
+        extra = {"id": "x", "class": "City", "names": ["Hồ"]}
+        kb = load_knowledge_base([*corpusgen.SYNTH_ENTITY_RECORDS, extra], taxonomy)
+        again = load_taxonomy(taxonomy_records(taxonomy))
+        assert again.parents == taxonomy.parents
+        assert load_knowledge_base(knowledge_base_records(kb), again).entities == kb.entities
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "kb.jsonl"

@@ -8,6 +8,7 @@ import corpusgen
 from oracle import Oracle
 from ontovsm.corpus import Annotation, Query, ingest_document, query_from_record
 from ontovsm.errors import ConfigError, EmptyQueryError
+from ontovsm.evaluation import write_run_file
 from ontovsm.index import build_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import (
@@ -18,7 +19,6 @@ from ontovsm.retrieval import (
     filter_documents,
     score,
     search,
-    write_run_file,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -209,6 +209,22 @@ class TestScore:
         # though the conjunctive filter excludes it from the results.
         assert score(un_index, un_query, "d3", ModelKind.NE_O) > 0.0
         assert "d3" not in [r.doc_id for r in search(un_index, un_query, ModelKind.NE_O)]
+
+    def test_termless_document_scores_zero(self, kb, taxonomy):
+        # An empty or stopword-only text has no term, hence no norm in any space.
+        records = [
+            {"doc_id": "x", "text": "alpha beta", "annotations": []},
+            {"doc_id": "empty", "text": "", "annotations": []},
+            {"doc_id": "stop", "text": "the", "annotations": []},
+        ]
+        docs = [ingest_document(r, kb, taxonomy, {"the"}) for r in records]
+        index = build_index(docs, kb, taxonomy, {"the"})
+        q = Query("q", ("alpha",), ())
+        for model in (ModelKind.KW, ModelKind.KW_PLUS_NE):
+            assert score(index, q, "empty", model) == 0.0
+            assert score(index, q, "stop", model) == 0.0
+        with pytest.raises(KeyError):
+            score(index, q, "missing", ModelKind.KW)
 
     def test_scale_invariance(self, kb, taxonomy):
         once = {"doc_id": "x", "text": "alpha beta", "annotations": []}
