@@ -38,13 +38,11 @@ from .evaluation import (
     PRCurve,
     Qrels,
     average,
-    curve_from_points,
     evaluate_runs,
     f_measure,
     interpolate_11pt,
     load_qrels,
     load_run_file,
-    pr_points,
     write_report,
     write_run_file,
 )
@@ -67,14 +65,6 @@ from .retrieval import (
     score,
     search,
 )
-from .termspace import (
-    Term,
-    document_terms,
-    expand_annotation,
-    format_term,
-    query_terms,
-    query_terms_nonoverlapped,
-    query_terms_overlapped,
-)
+from .termspace import Term, document_terms, format_term, query_terms
 
 __version__ = "0.1.0"

@@ -158,18 +158,21 @@ def _document_fields(record: Mapping) -> tuple[str, str]:
 
 
 def _annotations(
-    record: Mapping, key: str, kb: KnowledgeBase, taxonomy: ClassTaxonomy, checked: set[tuple]
+    record: Mapping, key: str, kb: KnowledgeBase, taxonomy: ClassTaxonomy, checked: set | None
 ) -> list[Annotation]:
     """Parse and validate the list of annotation objects under ``key``.
 
     Validation reads only a mention's (name, class, identifier), so each
     distinct mention is checked once, at its first occurrence. ``checked``
-    holds the mentions found valid so far, by every record of one load.
+    holds the mentions found valid so far, by every record of one load;
+    ``None`` stands for an empty set.
     """
     raw = record.get(key, [])
     if not isinstance(raw, list) or not all(isinstance(r, dict) for r in raw):
         raise CorpusError(f"{key} must be a list of objects")
     annotations = [annotation_from_record(r) for r in raw]
+    if checked is None:
+        checked = set()
     for a in annotations:
         mention = (a.name, a.class_id, a.identifier)
         if mention not in checked:
@@ -183,23 +186,19 @@ def ingest_document(
     kb: KnowledgeBase,
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
+    checked: set[tuple] | None = None,
 ) -> AnnotatedDocument:
     """Validate one corpus record and tokenize its text, once.
 
     ``tokens`` is the whole stopword-filtered token stream. ``keyword_tokens``
     keeps those that do not touch any annotated span; tokens inside spans count
     only through their annotations.
+
+    ``checked`` holds the mentions found valid so far, so that one load checks
+    each distinct mention once; ``None`` starts an empty set. A mention already
+    in the set skips its checks against ``kb`` and ``taxonomy``, so pass only a
+    set that earlier calls with the same knowledge base and taxonomy filled.
     """
-    return _ingest(record, kb, taxonomy, stopwords, set())
-
-
-def _ingest(
-    record: Mapping,
-    kb: KnowledgeBase,
-    taxonomy: ClassTaxonomy,
-    stopwords: Collection[str] | None,
-    checked: set[tuple],
-) -> AnnotatedDocument:
     doc_id, text = _document_fields(record)
     try:
         annotations = _annotations(record, "annotations", kb, taxonomy, checked)
@@ -257,17 +256,9 @@ def query_from_record(
     kb: KnowledgeBase,
     taxonomy: ClassTaxonomy,
     stopwords: Collection[str] | None = None,
+    checked: set[tuple] | None = None,
 ) -> Query:
-    return _query(record, kb, taxonomy, stopwords, set())
-
-
-def _query(
-    record: Mapping,
-    kb: KnowledgeBase,
-    taxonomy: ClassTaxonomy,
-    stopwords: Collection[str] | None,
-    checked: set[tuple],
-) -> Query:
+    """Validate one query record; ``checked`` is as for ``ingest_document``."""
     query_id = _record_id(record, "query_id", "query")
     raw_keywords = record.get("keywords", [])
     if not isinstance(raw_keywords, list) or not all(isinstance(k, str) for k in raw_keywords):
@@ -284,13 +275,13 @@ def _query(
     return Query(query_id, tuple(keywords), tuple(annotations))
 
 
-def _records(path: str | Path, key: str, parse: Callable[[dict], object]) -> Iterator:
-    """Parse each record of a JSON Lines file with ``parse``, which checks the id
-    under ``key``, and yield it; no two records may share one."""
+def _records(path: str | Path, key: str, parse: Callable[..., object], *args) -> Iterator:
+    """Parse each record of a JSON Lines file with ``parse(record, *args)``, which
+    checks the id under ``key``, and yield it; no two records may share one."""
     seen: set[str] = set()
     for number, rec in enumerate(read_jsonl(path, CorpusError), start=1):
         try:
-            item = parse(rec)
+            item = parse(rec, *args)
         except CorpusError as exc:
             raise CorpusError(f"{path}, record {number}: {exc}") from None
         if rec[key] in seen:
@@ -311,7 +302,7 @@ def load_corpus(
     Each distinct mention is validated once per call, not once per record.
     """
     checked: set[tuple] = set()
-    return _records(path, "doc_id", lambda r: _ingest(r, kb, taxonomy, stopwords, checked))
+    return _records(path, "doc_id", ingest_document, kb, taxonomy, stopwords, checked)
 
 
 def load_queries(
@@ -325,7 +316,7 @@ def load_queries(
     Each distinct mention is validated once per call, not once per record.
     """
     checked: set[tuple] = set()
-    return list(_records(path, "query_id", lambda r: _query(r, kb, taxonomy, stopwords, checked)))
+    return list(_records(path, "query_id", query_from_record, kb, taxonomy, stopwords, checked))
 
 
 def load_raw_corpus(path: str | Path) -> list[tuple[str, str]]:

@@ -1,15 +1,14 @@
 """Ranked-run evaluation: 11-point interpolated precision and F-measure.
 
 A run is walked from the top; each rank contributes one (recall, precision)
-point (``pr_points``). Points are interpolated to the eleven standard recall
-levels 0%, 10%, ..., 100% and averaged arithmetically over queries, F values
-separately from precisions. Only the points at relevant ranks can set an
-interpolated value, so ``evaluate_runs`` builds just those, plus one (0, 0)
-point when a non-empty run does not open with a relevant document. Two
-interpolation modes exist: STANDARD takes the ceiling max over all points at
-or beyond a level; WINDOWED takes the max inside [r_j, r_j+1] and falls back
-to STANDARD when the window holds no point, so sparse runs never produce
-spurious zeros.
+point. Points are interpolated to the eleven standard recall levels 0%, 10%,
+..., 100% and averaged arithmetically over queries, F values separately from
+precisions. Only the points at relevant ranks can set an interpolated value,
+so ``evaluate_runs`` builds just those, plus one (0, 0) point when a non-empty
+run does not open with a relevant document. Two interpolation modes exist:
+STANDARD takes the ceiling max over all points at or beyond a level; WINDOWED
+takes the max inside [r_j, r_j+1] and falls back to STANDARD when the window
+holds no point, so sparse runs never produce spurious zeros.
 """
 from __future__ import annotations
 
@@ -57,7 +56,17 @@ def write_run_file(
     runs: Mapping[str, Sequence[tuple[str, float]]], model_tag: str, out: IO[str] | str | Path
 ) -> dict[str, list[str]]:
     """TREC run lines ``<query_id> Q0 <doc_id> <rank> <score> <tag>`` from ranked
-    (doc id, score) pairs. Returns the run as ``load_run_file`` reads it back."""
+    (doc id, score) pairs. Returns the run as ``load_run_file`` reads it back.
+
+    The tag and every query id must be plain ids (``corpus.is_plain_id``), as
+    ``load_run_file`` splits its lines on whitespace; both index builders check
+    the doc ids. Nothing is written otherwise.
+    """
+    if not is_plain_id(model_tag):
+        raise EvalError(f"run tag {model_tag!r} is empty or holds whitespace")
+    for query_id in runs:
+        if not is_plain_id(query_id):
+            raise EvalError(f"query id {query_id!r} is empty or holds whitespace")
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8") as fh:
             return write_run_file(runs, model_tag, fh)
@@ -104,33 +113,14 @@ def load_run_file(path: str | Path) -> dict[str, list[str]]:
     return {query_id: list(ranked) for query_id, ranked in runs.items()}
 
 
-def pr_points(
-    query_id: str, ranked_doc_ids: Sequence[str], qrels: Qrels
-) -> list[tuple[float, float]]:
-    """One (recall, precision) point per rank position, top to bottom."""
-    judged = qrels.get(query_id)
-    if judged is None:
-        raise EvalError(f"query {query_id!r} has no relevance judgments")
-    total = sum(judged.values())
-    if total == 0:
-        raise EvalError(f"query {query_id!r} has no relevant documents")
-    points = []
-    seen = 0
-    for rank, doc_id in enumerate(ranked_doc_ids, start=1):
-        if judged.get(doc_id, False):
-            seen += 1
-        points.append((seen / total, seen / rank))
-    return points
-
-
 def interpolate_11pt(
     points: Sequence[tuple[float, float]], mode: InterpMode = InterpMode.STANDARD
 ) -> tuple[float, ...]:
     """Interpolated precision at the eleven standard recall levels.
 
-    ``points`` must be in rank order, as ``pr_points`` gives them. Recall never
-    decreases down a ranking, so the points at or beyond a level are a suffix
-    and the points inside a window a slice, both found by bisection.
+    ``points`` must be in rank order, top to bottom. Recall never decreases
+    down a ranking, so the points at or beyond a level are a suffix and the
+    points inside a window a slice, both found by bisection.
     """
     recalls = [r for r, _ in points]
     precisions = [p for _, p in points]
@@ -221,8 +211,8 @@ def evaluate_runs(
 def _relevant_points(
     ranked_doc_ids: Sequence[str], relevant: set[str]
 ) -> list[tuple[float, float]]:
-    """The points of ``pr_points`` that interpolation can read: those at relevant
-    ranks, led by (0, 0) when rank 1 is not relevant.
+    """The per-rank (recall, precision) points that interpolation can read: those
+    at relevant ranks, led by (0, 0) when rank 1 is not relevant.
 
     Down to the next relevant rank, precision only falls at a constant recall,
     so no other point sets a level's maximum. The (0, 0) point stands for the

@@ -32,7 +32,7 @@ from .ontology import (
     taxonomy_records,
     write_jsonl,
 )
-from .termspace import TERM_SPACES, Term, _document_terms, format_term, keyword_term
+from .termspace import TERM_SPACES, Term, document_terms, format_term, keyword_term
 
 STORED_SPACES = ("N", "C", "NC", "I", "KW", "KW_FULL")
 VECTOR_SPACES = STORED_SPACES + ("UNIFIED",)
@@ -142,10 +142,13 @@ def build_index(
     # expanded once, however often the collection repeats it.
     expansions: dict = {}
     for doc in docs:
+        # load_index and load_run_file reject any other id.
+        if not is_plain_id(doc.doc_id):
+            raise CorpusError(f"document id {doc.doc_id!r} is empty or holds whitespace")
         if doc.doc_id in doc_ids:
             raise CorpusError(f"document {doc.doc_id!r} indexed twice")
         doc_ids[doc.doc_id] = None
-        for term, tf in _document_terms(doc, kb, taxonomy, expansions).items():
+        for term, tf in document_terms(doc, kb, taxonomy, expansions).items():
             raw[term.space].setdefault(term, {})[doc.doc_id] = tf
         # The keyword baseline sees the whole text as keywords, annotated or not.
         for token, tf in Counter(doc.tokens).items():

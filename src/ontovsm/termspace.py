@@ -107,15 +107,22 @@ def expand_annotation(
     return Counter(_feature_terms(names, classes, annotation.identifier))
 
 
-def _document_terms(
+def document_terms(
     doc: AnnotatedDocument,
     kb: KnowledgeBase,
     taxonomy: ClassTaxonomy,
-    expansions: dict[tuple, tuple[Term, ...]],
+    expansions: dict[tuple, tuple[Term, ...]] | None = None,
 ) -> Counter[Term]:
+    """Term frequencies of one document across the five partitioned spaces.
+
+    ``expansions`` caches each distinct mention's expanded terms across the
+    documents of one build; ``None`` starts an empty cache. Pass only a cache
+    that earlier calls with the same knowledge base and taxonomy filled.
+    """
     # An expansion reads only the mention's (name, class, identifier) and names
-    # each term once, so ``expansions`` caches its terms per distinct mention;
-    # a mention occurring n times adds n to each.
+    # each term once, so a mention occurring n times adds n to each of its terms.
+    if expansions is None:
+        expansions = {}
     counts: Counter[Term] = Counter()
     mentions = Counter((a.name, a.class_id, a.identifier) for a in doc.annotations)
     for mention, n in mentions.items():
@@ -128,13 +135,6 @@ def _document_terms(
     for token, n in Counter(doc.keyword_tokens).items():
         counts[keyword_term(token)] += n
     return counts
-
-
-def document_terms(
-    doc: AnnotatedDocument, kb: KnowledgeBase, taxonomy: ClassTaxonomy
-) -> Counter[Term]:
-    """Term frequencies of one document across the five partitioned spaces."""
-    return _document_terms(doc, kb, taxonomy, {})
 
 
 def query_terms_overlapped(annotation: Annotation, kb: KnowledgeBase) -> set[Term]:

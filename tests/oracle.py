@@ -3,10 +3,14 @@
 Works directly on raw record dicts, never on package objects: its own
 tokenizer, its own recursive ancestor walk, and brute-force vectors held as
 plain dicts keyed by term tuples. Slow on purpose; correctness comes from
-being too simple to get wrong.
+being too simple to get wrong. ``pr_points`` is the evaluation's reference:
+one precision-recall point for every rank, where the package builds only the
+points that interpolation can read.
 """
 import math
 import re
+
+from ontovsm.errors import EvalError
 
 WORD = re.compile(r"[0-9A-Za-z]+")
 
@@ -287,3 +291,20 @@ class Oracle:
         ]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:k]
+
+
+def pr_points(query_id, ranked_doc_ids, qrels):
+    """One (recall, precision) point per rank position, top to bottom."""
+    judged = qrels.get(query_id)
+    if judged is None:
+        raise EvalError(f"query {query_id!r} has no relevance judgments")
+    total = sum(judged.values())
+    if total == 0:
+        raise EvalError(f"query {query_id!r} has no relevant documents")
+    points = []
+    seen = 0
+    for rank, doc_id in enumerate(ranked_doc_ids, start=1):
+        if judged.get(doc_id, False):
+            seen += 1
+        points.append((seen / total, seen / rank))
+    return points

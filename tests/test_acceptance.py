@@ -8,11 +8,11 @@ import time
 import pytest
 
 import corpusgen
-from oracle import Oracle
+from oracle import Oracle, pr_points
 from ontovsm.cli import main
 from ontovsm.corpus import ingest_document, query_from_record, tokenize
 from ontovsm.errors import EmptyQueryError
-from ontovsm.evaluation import evaluate_runs, f_measure, interpolate_11pt, pr_points
+from ontovsm.evaluation import evaluate_runs, f_measure, interpolate_11pt
 from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import (

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracle import pr_points
 from ontovsm.errors import EvalError
 from ontovsm.evaluation import (
     RECALL_LEVELS,
@@ -15,7 +16,6 @@ from ontovsm.evaluation import (
     interpolate_11pt,
     load_qrels,
     load_run_file,
-    pr_points,
     write_report,
     write_run_file,
 )
@@ -71,6 +71,21 @@ class TestLoadRunFile:
         path = tmp_path / "m%s.run"
         written = write_run_file(runs, "m%s", path)
         assert written == load_run_file(path) == {"q%d": ["d2", "d%s"], "q3": ["d1"]}
+
+    @pytest.mark.parametrize(
+        "query_id, tag, match",
+        [
+            ("q 1", "m", "query id 'q 1'"),
+            ("", "m", "query id ''"),
+            ("q1", "my tag", "run tag 'my tag'"),
+        ],
+    )
+    def test_id_that_breaks_the_run_lines_rejected(self, tmp_path, query_id, tag, match):
+        # load_run_file splits each line on whitespace, so it would reject the file.
+        path = tmp_path / "model.run"
+        with pytest.raises(EvalError, match=match):
+            write_run_file({query_id: [RankedResult("d1", 0.5)]}, tag, path)
+        assert not path.exists()
 
     def test_duplicate_document_rejected(self, tmp_path):
         path = tmp_path / "model.run"

@@ -1,4 +1,5 @@
 """Index construction, statistics, persistence, and dumping."""
+import dataclasses
 import io
 import json
 import math
@@ -79,6 +80,13 @@ class TestBuild:
         # Two documents under one id would count it twice in every idf.
         with pytest.raises(CorpusError, match="'d1'"):
             build_index([city_docs[0], city_docs[1], city_docs[0]], kb, taxonomy)
+
+    @pytest.mark.parametrize("doc_id", ["d 1", "", "d\t1"])
+    def test_id_the_loaders_reject_refused(self, city_docs, kb, taxonomy, doc_id):
+        # load_index and load_run_file refuse such an id, so the build must too.
+        doc = dataclasses.replace(city_docs[0], doc_id=doc_id)
+        with pytest.raises(CorpusError, match="document id"):
+            build_index([city_docs[1], doc], kb, taxonomy)
 
 
 @pytest.fixture(params=["built", "loaded"])

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from oracle import pr_points
 from ontovsm.cli import main
 from ontovsm.corpus import (
     annotation_from_record,
@@ -44,7 +45,6 @@ from ontovsm.evaluation import (
     interpolate_11pt,
     load_qrels,
     load_run_file,
-    pr_points,
 )
 from ontovsm.index import build_index, idf_weight, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy, read_kb_file, read_taxonomy_file
