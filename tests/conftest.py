@@ -117,7 +117,7 @@ INDEX_CORRUPTIONS = [
     ),
     *(
         pytest.param(_set_first_tf(tf), "term frequency", id=f"tf-{tf!r}")
-        for tf in (True, 1.5, 0, -2, "3")
+        for tf in (True, 1.5, 0, -2, "3", 2**40)
     ),
     *(
         pytest.param(_set_stopwords(value), "stopwords", id=f"stopwords-{value!r}")

@@ -12,6 +12,7 @@ from ontovsm.corpus import ingest_document
 from ontovsm.errors import CorpusError, IndexFormatError
 from ontovsm.index import (
     STORED_SPACES,
+    InvertedIndex,
     build_index,
     dump_index,
     idf_weight,
@@ -81,12 +82,29 @@ class TestBuild:
         with pytest.raises(CorpusError, match="'d1'"):
             build_index([city_docs[0], city_docs[1], city_docs[0]], kb, taxonomy)
 
-    @pytest.mark.parametrize("doc_id", ["d 1", "", "d\t1"])
+    @pytest.mark.parametrize("doc_id", ["d 1", "", "d\t1", 7])
     def test_id_the_loaders_reject_refused(self, city_docs, kb, taxonomy, doc_id):
         # load_index and load_run_file refuse such an id, so the build must too.
         doc = dataclasses.replace(city_docs[0], doc_id=doc_id)
         with pytest.raises(CorpusError, match="document id"):
             build_index([city_docs[1], doc], kb, taxonomy)
+
+    @pytest.mark.parametrize(
+        "doc_ids, message", [(["d 1"], "document id 'd 1'"), (["d1", "d1"], "'d1' indexed twice")]
+    )
+    def test_constructor_checks_doc_ids(self, kb, taxonomy, doc_ids, message):
+        # The constructor numbers the documents, so a direct construction is checked too.
+        with pytest.raises(CorpusError, match=message):
+            InvertedIndex(doc_ids, {s: {} for s in STORED_SPACES}, kb, taxonomy)
+
+    def test_documents_numbered_by_doc_id(self, kb, taxonomy):
+        ids = ["d9", "d10", "d2"]
+        records = [dict(r, doc_id=d) for r, d in zip(corpusgen.CITY_DOC_RECORDS, ids)]
+        index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+        assert index.doc_ids == ids
+        assert index.ids == ["d10", "d2", "d9"]
+        assert index.postings(keyword_term("growing"), "KW") == {"d9": 1, "d2": 1}
+        assert list(index.posting_list(keyword_term("growing"), "KW")) == [2, 1, 1, 1]
 
 
 @pytest.fixture(params=["built", "loaded"])
@@ -112,17 +130,19 @@ class TestSharedKeywordLists:
     def test_keyword_outside_mentions_has_one_list(self, mixed_index):
         growing = keyword_term("growing")
         assert mixed_index.postings(growing, "KW") == {"d1": 1, "d2": 1}
-        assert mixed_index.postings(growing, "KW_FULL") is mixed_index.postings(growing, "KW")
+        full = mixed_index.posting_list(growing, "KW_FULL")
+        assert full is mixed_index.posting_list(growing, "KW")
         for term in mixed_index.terms("KW_FULL"):
-            full, kw = mixed_index.postings(term, "KW_FULL"), mixed_index.postings(term, "KW")
+            kw = mixed_index.posting_list(term, "KW")
+            full = mixed_index.posting_list(term, "KW_FULL")
             assert (full is kw) == (full == kw), term
 
     def test_differing_lists_stay_apart(self, mixed_index):
         saigon = keyword_term("saigon")
-        kw = mixed_index.postings(saigon, "KW")
-        assert kw == {"d1": 1, "d2": 1}
+        assert mixed_index.postings(saigon, "KW") == {"d1": 1, "d2": 1}
         assert mixed_index.postings(saigon, "KW_FULL") == {"d1": 2, "d2": 1}
-        assert mixed_index.postings(saigon, "KW_FULL") is not kw
+        full = mixed_index.posting_list(saigon, "KW_FULL")
+        assert full is not mixed_index.posting_list(saigon, "KW")
 
 
 def weights(index, doc_id, space):
@@ -134,6 +154,11 @@ def weights(index, doc_id, space):
     }
 
 
+def norm(index, doc_id, space):
+    """A document's vector length in a space; norms are indexed by doc number."""
+    return index.norms[space][index.ids.index(doc_id)]
+
+
 class TestDocVectors:
     def test_identifier_vector(self, city_index):
         assert weights(city_index, "d1", "I") == {identifier_term("e1"): pytest.approx(LN4)}
@@ -141,14 +166,14 @@ class TestDocVectors:
     def test_empty_vector_for_unannotated_doc(self, city_index):
         assert weights(city_index, "d3", "I") == {}
         assert weights(city_index, "d3", "N") == {}
-        assert "d3" not in city_index.norms["I"] and "d3" not in city_index.norms["N"]
+        assert norm(city_index, "d3", "I") == 0.0 and norm(city_index, "d3", "N") == 0.0
 
     def test_class_vector(self, city_index):
         vec = weights(city_index, "d1", "C")
         assert set(vec) == {class_term("City"), class_term("Location")}
         assert vec[class_term("City")] == pytest.approx(LN4)
         assert vec[class_term("Location")] == pytest.approx(LN2_5)
-        assert city_index.norms["C"]["d1"] == pytest.approx(math.hypot(LN4, LN2_5))
+        assert norm(city_index, "d1", "C") == pytest.approx(math.hypot(LN4, LN2_5))
 
     def test_unified_merges_partitioned_spaces(self, city_index):
         for doc_id in city_index.doc_ids:
@@ -157,13 +182,14 @@ class TestDocVectors:
                 for s in ("N", "C", "NC", "I", "KW")
                 for w in weights(city_index, doc_id, s).values()
             )
-            assert city_index.norms["UNIFIED"][doc_id] == pytest.approx(math.sqrt(squares))
+            assert norm(city_index, doc_id, "UNIFIED") == pytest.approx(math.sqrt(squares))
 
     def test_full_vector_covers_whole_text(self, city_index):
         assert len(weights(city_index, "d1", "KW_FULL")) == 7
 
     def test_unknown_doc(self, city_index, un_query):
-        assert all("d9" not in norms for norms in city_index.norms.values())
+        assert "d9" not in city_index.ids
+        assert all(len(norms) == city_index.n_docs for norms in city_index.norms.values())
         with pytest.raises(KeyError):
             score(city_index, un_query, "d9", ModelKind.NE_O)
 
@@ -196,11 +222,12 @@ class TestPersistence:
     def test_loaded_postings_share_doc_id_strings(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
         loaded = load_index(tmp_path / "ix")
-        # Looking an id up returns the very string that doc_ids holds.
+        # Looking an id up returns the very string that doc_ids holds: ids
+        # holds those strings, and postings() maps doc numbers back to them.
         listed = {doc_id: doc_id for doc_id in loaded.doc_ids}
         keys = [d for s in STORED_SPACES for t in loaded.terms(s) for d in loaded.postings(t, s)]
-        keys += [d for norms in loaded.norms.values() for d in norms]
-        assert keys and all(d is listed[d] for d in keys)
+        assert loaded.ids == sorted(loaded.doc_ids)
+        assert keys and all(d is listed[d] for d in [*loaded.ids, *keys])
 
     def test_duplicate_parents_saved_once(self, tmp_path):
         taxonomy = load_taxonomy([{"class": "A"}, {"class": "B", "parents": ["A", "A"]}])

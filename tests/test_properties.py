@@ -405,7 +405,7 @@ def reference_search(index, query, model, config, top_k):
             c = weight * w * w / query_norm
             for doc_id, tf in index.postings(t, stored(t, space)).items():
                 if doc_id in scores:
-                    scores[doc_id] += c * tf / index.norms[space][doc_id]
+                    scores[doc_id] += c * tf / index.norms[space][index.ids.index(doc_id)]
     rounded = {d: round(v, 12) if v < 1.0 else 1.0 for d, v in scores.items()}
     return sorted(rounded.items(), key=lambda item: (-item[1], item[0]))[:top_k]
 

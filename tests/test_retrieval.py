@@ -9,7 +9,7 @@ from oracle import Oracle
 from ontovsm.corpus import Annotation, Query, ingest_document, query_from_record
 from ontovsm.errors import ConfigError, EmptyQueryError
 from ontovsm.evaluation import write_run_file
-from ontovsm.index import build_index
+from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import (
     ALL_MODELS,
@@ -20,6 +20,7 @@ from ontovsm.retrieval import (
     score,
     search,
 )
+from ontovsm.termspace import keyword_term
 
 SQRT2 = math.sqrt(2.0)
 # All entity terms of the three-document fixture have df=2, so every idf
@@ -211,7 +212,7 @@ class TestScore:
         assert "d3" not in [r.doc_id for r in search(un_index, un_query, ModelKind.NE_O)]
 
     def test_termless_document_scores_zero(self, kb, taxonomy):
-        # An empty or stopword-only text has no term, hence no norm in any space.
+        # An empty or stopword-only text has no term, hence a zero norm in every space.
         records = [
             {"doc_id": "x", "text": "alpha beta", "annotations": []},
             {"doc_id": "empty", "text": "", "annotations": []},
@@ -223,8 +224,25 @@ class TestScore:
         for model in (ModelKind.KW, ModelKind.KW_PLUS_NE):
             assert score(index, q, "empty", model) == 0.0
             assert score(index, q, "stop", model) == 0.0
-        with pytest.raises(KeyError):
-            score(index, q, "missing", ModelKind.KW)
+        for missing in ("a", "missing", "zzz"):  # before, between and after the ids
+            with pytest.raises(KeyError):
+                score(index, q, missing, ModelKind.KW)
+
+    def test_narrowed_to_the_pair_of_its_document(self, kb, taxonomy):
+        # "x"'s list is (0, 2), (2, 1): a search for doc number 2 meets the
+        # tf 2 of document 0 first, and must not read it as a doc number.
+        records = [
+            {"doc_id": "d0", "text": "x x z", "annotations": []},
+            {"doc_id": "d1", "text": "y", "annotations": []},
+            {"doc_id": "d2", "text": "x w", "annotations": []},
+        ]
+        index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+        assert list(index.posting_list(keyword_term("x"), "KW_FULL")) == [0, 2, 2, 1]
+        q = Query("q", ("x",), ())
+        ranked = {r.doc_id: r.score for r in search(index, q, ModelKind.KW)}
+        assert set(ranked) == {"d0", "d2"} and ranked["d2"] < 1.0
+        for doc_id, expected in ranked.items():
+            assert score(index, q, doc_id, ModelKind.KW) == expected
 
     def test_scale_invariance(self, kb, taxonomy):
         once = {"doc_id": "x", "text": "alpha beta", "annotations": []}
@@ -284,6 +302,34 @@ class TestSearch:
         results = search(index, Query("q", ("alpha",), ()), ModelKind.KW)
         assert [r.doc_id for r in results] == ["da", "db"]
         assert results[0].score == results[1].score
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_ties_rank_by_doc_id_not_corpus_order(self, kb, taxonomy, tmp_path, loaded):
+        # Documents are numbered by doc id, "d10" < "d2" < "d9", not in the
+        # order the corpus lists them.
+        entity = {"name": "Ho Chi Minh City", "class": "City", "id": "e1"}
+        text = "Ho Chi Minh City is growing fast"
+        mention = dict(entity, start=0, end=16)
+        records = [
+            {"doc_id": d, "text": text, "annotations": [mention]} for d in ("d10", "d9", "d2")
+        ]
+        records.append({"doc_id": "d1", "text": "growing cities", "annotations": []})
+        index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+        if loaded:
+            save_index(index, tmp_path / "ix")
+            index = load_index(tmp_path / "ix")
+        query = query_from_record(
+            {"query_id": "q", "keywords": ["growing"], "entities": [entity]}, kb, taxonomy
+        )
+        for model in ALL_MODELS:
+            results = search(index, query, model)
+            ranked = [r.doc_id for r in results]
+            tied = results[ranked.index("d10") :][:3]
+            assert [r.doc_id for r in tied] == ["d10", "d2", "d9"], model
+            assert tied[0].score == tied[1].score == tied[2].score
+            assert results == sorted(results, key=lambda r: (-r.score, r.doc_id))
+            for r in results:
+                assert score(index, query, r.doc_id, model) == r.score, (model, r.doc_id)
 
     def test_scores_non_increasing(self, un_index, un_query):
         for model in ALL_MODELS:
