@@ -4,8 +4,9 @@ Subcommands cover the full experiment loop: ``build-index`` persists an index
 from a taxonomy, knowledge base, and annotated corpus; ``annotate`` adds
 gazetteer annotations to raw text; ``search`` writes one TREC-format run file
 per model; ``eval`` scores run files against qrels; ``compare`` chains all of
-it for every model; ``dump-index`` prints the term spaces. All failures exit
-nonzero with a single ``error:`` line on stderr.
+it for every model; ``dump-index`` prints the term spaces; ``verify-index``
+checks a saved index, file digests included. All failures exit nonzero with a
+single ``error:`` line on stderr.
 """
 from __future__ import annotations
 
@@ -30,7 +31,14 @@ from .evaluation import (
     write_report,
     write_run_file,
 )
-from .index import InvertedIndex, build_index, dump_index, load_index, save_index
+from .index import (
+    STORED_SPACES,
+    InvertedIndex,
+    build_index,
+    dump_index,
+    load_index,
+    save_index,
+)
 from .ontology import read_kb_file, read_taxonomy_file, write_jsonl
 from .retrieval import ALL_MODELS, ModelConfig, ModelKind, search
 from .termspace import TERM_SPACES
@@ -217,6 +225,18 @@ def cmd_dump_index(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_verify_index(args: argparse.Namespace) -> int:
+    # load_index checks every count it reads in stats.json against the rows,
+    # so the index's counts are the ones stats.json records.
+    index = load_index(args.index)
+    counts = ", ".join(
+        f"{space}={index.term_count(space)}/{index.posting_count(space)}"
+        for space in STORED_SPACES
+    )
+    print(f"verified {index.n_docs} docs; terms/postings: {counts}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ontovsm",
@@ -263,6 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-index", help="print the indexed term spaces")
     p.add_argument("--index", required=True)
     p.set_defaults(func=cmd_dump_index)
+
+    p = sub.add_parser("verify-index", help="check a saved index, file digests included")
+    p.add_argument("--index", required=True)
+    p.set_defaults(func=cmd_verify_index)
 
     return parser
 

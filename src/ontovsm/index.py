@@ -13,6 +13,7 @@ reproducible byte for byte.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from array import array
@@ -40,7 +41,9 @@ from .termspace import TERM_SPACES, Term, document_terms, format_term, keyword_t
 STORED_SPACES = ("N", "C", "NC", "I", "KW", "KW_FULL")
 
 INDEX_FORMAT = "ontovsm-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
+# The files whose size and sha256 digest stats.json records.
+INDEX_FILES = ("postings.jsonl", "taxonomy.jsonl", "kb.jsonl")
 
 # One term's postings: (doc number, tf) pairs interleaved in one flat array of
 # unsigned C ints. CPython converts an int into an unsigned item without its
@@ -51,6 +54,7 @@ TYPECODE = "I"
 # The largest term frequency a posting list holds.
 MAX_TF = 2 ** (8 * array(TYPECODE).itemsize) - 1
 _NO_POSTINGS = array(TYPECODE)
+_ZERO = array(TYPECODE, [0])
 
 
 def idf_weight(n_docs: int, df: int) -> float:
@@ -78,6 +82,8 @@ class InvertedIndex:
     0.0 for a document with no term in that space.
     The index keeps the lists it is given, uncopied: ``postings`` must hold
     every stored space, numbered so, and its lists must not change afterwards.
+    A built list keeps the order its documents came in; a loaded one ascends,
+    as ``save_index`` writes it. No score or norm depends on that order.
     A ``KW_FULL`` list equal to the ``KW`` list of its term, in order, is that list.
 
     The constructor checks that each id is plain and listed once, and sorts
@@ -142,6 +148,10 @@ class InvertedIndex:
 
     def terms(self, space: str) -> list[Term]:
         return list(self._stored(space))
+
+    def posting_count(self, space: str) -> int:
+        """The postings stored in the space: one per (term, document) pair."""
+        return sum(map(len, self._stored(space).values())) // 2
 
     def posting_list(self, term: Term, space: str) -> PostingList:
         """The term's (doc number, tf) pairs, interleaved; empty for an unseen term.
@@ -215,24 +225,37 @@ def build_index(
     return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords, ids=ids)
 
 
+def _columns(plist: PostingList) -> tuple[list[int], list[int]]:
+    """A posting list's doc numbers in ascending order, and their tfs in step."""
+    docs = plist[::2].tolist()
+    tf_of = dict(zip(docs, plist[1::2]))
+    docs.sort()
+    return docs, list(map(tf_of.__getitem__, docs))
+
+
+def _posting_rows(index: InvertedIndex) -> Iterator[dict]:
+    for space in STORED_SPACES:
+        for term, plist in index._postings[space].items():
+            docs, tfs = _columns(plist)
+            term_pair = [term.primary, term.secondary]
+            yield {"space": space, "term": term_pair, "docs": docs, "tfs": tfs}
+
+
+def _digest(path: Path) -> dict:
+    """The size and sha256 digest that stats.json records for a file."""
+    data = path.read_bytes()
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Write an index directory that ``load_index`` restores exactly."""
+    """Write an index directory that ``load_index`` restores exactly.
+
+    Each posting row holds the term's doc numbers, ascending, and their tfs,
+    in two lists of one length."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    ids = index.ids
-    write_jsonl(
-        path / "postings.jsonl",
-        (
-            {
-                "space": space,
-                "term": [term.primary, term.secondary],
-                "postings": [[ids[doc], tf] for doc, tf in _pairs(plist)],
-            }
-            for space in STORED_SPACES
-            for term, plist in index._postings[space].items()
-        ),
-    )
+    write_jsonl(path / "postings.jsonl", _posting_rows(index))
     write_jsonl(path / "taxonomy.jsonl", taxonomy_records(index.taxonomy))
     write_jsonl(path / "kb.jsonl", knowledge_base_records(index.kb))
     stats = {
@@ -242,13 +265,75 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "doc_ids": index.doc_ids,
         "stopwords": sorted(index.stopwords),
         "terms": {space: index.term_count(space) for space in STORED_SPACES},
+        "postings": {space: index.posting_count(space) for space in STORED_SPACES},
+        "files": {name: _digest(path / name) for name in INDEX_FILES},
     }
     with open(path / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 
 
+def _check_files(path: Path, files) -> None:
+    """Each of INDEX_FILES has the size and digest that stats.json records."""
+    if not isinstance(files, dict):
+        raise IndexFormatError(f"{path}: stats.json lacks a files map")
+    for name in INDEX_FILES:
+        try:
+            found = _digest(path / name)
+        except FileNotFoundError:
+            raise IndexFormatError(f"{path}: {name} is missing") from None
+        saved = files.get(name)
+        if not isinstance(saved, dict):
+            raise IndexFormatError(f"{path}: stats.json records no digest for {name}")
+        if found["bytes"] != saved.get("bytes"):
+            raise IndexFormatError(
+                f"{path}: {name} holds {found['bytes']} bytes, "
+                f"not the {saved.get('bytes')!r} that stats.json records"
+            )
+        if found["sha256"] != saved.get("sha256"):
+            raise IndexFormatError(
+                f"{path}: {name} does not match the sha256 digest that stats.json records"
+            )
+
+
+def _posting_array(docs, tfs, n_docs: int) -> PostingList:
+    """One saved row's doc and tf columns, interleaved into an array of exactly
+    their size. Raises ``ValueError`` naming the first fault: each doc number
+    must be an int below ``n_docs``, above the one before it, and each tf an
+    int from 1 to ``MAX_TF``."""
+    if not (type(docs) is list and type(tfs) is list and len(docs) == len(tfs)):
+        raise ValueError("does not hold docs and tfs lists of one length")
+    if not docs:
+        raise ValueError("lists no documents")
+    previous = -1
+    for doc, tf in zip(docs, tfs):
+        # bool is an int subclass, so JSON true would pass isinstance.
+        if type(doc) is not int or not previous < doc < n_docs:
+            if type(doc) is not int or not 0 <= doc < n_docs:
+                raise ValueError(
+                    f"names unknown document number {doc!r}; "
+                    f"the index numbers its {n_docs} documents from 0"
+                )
+            if doc == previous:
+                raise ValueError(f"lists a document twice: doc number {doc}")
+            raise ValueError(f"has doc numbers that do not ascend: {doc} follows {previous}")
+        if type(tf) is not int or not 0 < tf <= MAX_TF:
+            raise ValueError(
+                f"gives doc number {doc} term frequency {tf!r}, "
+                f"not an integer from 1 to {MAX_TF}"
+            )
+        previous = doc
+    plist = _ZERO * (2 * len(docs))  # exactly the size of the pairs, unlike appends
+    plist[::2] = array(TYPECODE, docs)
+    plist[1::2] = array(TYPECODE, tfs)
+    return plist
+
+
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read an index directory that ``save_index`` wrote, or raise
+    ``IndexFormatError`` naming what is wrong with it: a file that is missing or
+    differs from the size and digest stats.json records, a malformed row, or
+    counts that do not match the rows."""
     path = Path(path)
     try:
         stats = parse_json((path / "stats.json").read_text(encoding="utf-8"))
@@ -262,6 +347,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise IndexFormatError(
             f"{path}: unsupported index version {stats.get('version')!r}"
         )
+    _check_files(path, stats.get("files"))
 
     taxonomy = load_taxonomy(read_jsonl(path / "taxonomy.jsonl", IndexFormatError))
     kb = load_knowledge_base(read_jsonl(path / "kb.jsonl", IndexFormatError), taxonomy)
@@ -272,10 +358,8 @@ def load_index(path: str | Path) -> InvertedIndex:
     for doc_id in doc_ids:
         if not is_plain_id(doc_id):
             raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
-    # Each id maps straight to its doc number, its rank in doc-id order.
     ids = sorted(doc_ids)
-    numbers = {doc_id: number for number, doc_id in enumerate(ids)}
-    if len(numbers) != len(doc_ids):
+    if len(set(ids)) != len(doc_ids):
         repeated = next(d for d, count in Counter(doc_ids).items() if count > 1)
         raise IndexFormatError(f"{path}: stats.json lists document {repeated!r} twice")
     if stats.get("doc_count") != len(doc_ids):
@@ -290,48 +374,41 @@ def load_index(path: str | Path) -> InvertedIndex:
     postings: dict[str, dict[Term, PostingList]] = {s: {} for s in STORED_SPACES}
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
         try:
-            space, term, entries = row["space"], row["term"], row["postings"]
-            tfs = {doc: tf for doc, tf in entries}
-        except (KeyError, TypeError, ValueError):
+            space, term, docs, tfs = row["space"], row["term"], row["docs"], row["tfs"]
+        except KeyError:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
         if not (
-            isinstance(term, list) and len(term) == 2 and all(isinstance(p, str) for p in term)
+            type(term) is list
+            and len(term) == 2
+            and type(term[0]) is str
+            and type(term[1]) is str
         ):
             raise IndexFormatError(f"{path}: malformed posting row {row!r}")
         if space not in STORED_SPACES:
             raise IndexFormatError(f"{path}: unknown term space {space!r}")
-        if not tfs:
-            raise IndexFormatError(f"{path}: posting row lists no documents: {row!r}")
-        if len(tfs) != len(entries):
-            raise IndexFormatError(f"{path}: posting row lists a document twice: {row!r}")
-        plist = array(TYPECODE)
-        for doc, tf in tfs.items():
-            number = numbers.get(doc)
-            if number is None:
-                raise IndexFormatError(f"{path}: posting names unknown document {doc!r}")
-            # bool is an int subclass, so JSON true would pass isinstance.
-            if type(tf) is not int or not 0 < tf <= MAX_TF:
-                raise IndexFormatError(
-                    f"{path}: posting of document {doc!r} has term frequency {tf!r}, "
-                    f"not an integer from 1 to {MAX_TF}"
-                )
-            plist.append(number)
-            plist.append(tf)
         # A KW_FULL row holds a KW term.
         key = Term("KW" if space == "KW_FULL" else space, *term)
+        try:
+            plist = _posting_array(docs, tfs, len(ids))
+        except ValueError as exc:
+            raise IndexFormatError(
+                f"{path}: posting row for {format_term(key)} in space {space} {exc}"
+            ) from None
         if key in postings[space]:
             raise IndexFormatError(
                 f"{path}: two posting rows for term {format_term(key)} in space {space}"
             )
         postings[space][key] = plist
-    counts = {space: len(postings[space]) for space in STORED_SPACES}
-    if stats.get("terms") != counts:
-        raise IndexFormatError(
-            f"{path}: stats.json's term counts {stats.get('terms')!r} do not match "
-            f"the postings' {counts!r}"
-        )
 
-    return InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords, ids=ids)
+    index = InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords, ids=ids)
+    for name, count in (("term", index.term_count), ("posting", index.posting_count)):
+        counts = {space: count(space) for space in STORED_SPACES}
+        if stats.get(f"{name}s") != counts:
+            raise IndexFormatError(
+                f"{path}: stats.json's {name} counts {stats.get(f'{name}s')!r} "
+                f"do not match the rows' {counts!r}"
+            )
+    return index
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> None:

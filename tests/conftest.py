@@ -1,4 +1,5 @@
 """Shared fixtures: loaded ontologies, ingested corpora, built indexes."""
+import hashlib
 import json
 
 import pytest
@@ -54,28 +55,123 @@ def write_version_1_index(path):
     return path
 
 
-def _rewrite_first_posting_row(change):
+def restamp(index_dir, name):
+    """Record the file's present size and sha256 digest in stats.json, as a
+    save would, so an edit to it reaches the check it is meant for."""
+    path = index_dir / "stats.json"
+    stats = json.loads(path.read_text(encoding="utf-8"))
+    data = (index_dir / name).read_bytes()
+    stats["files"][name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    path.write_text(json.dumps(stats), encoding="utf-8")
+
+
+def _posting_rows(index_dir):
+    path = index_dir / "postings.jsonl"
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_posting_rows(index_dir, rows, *, stamp=True):
+    path = index_dir / "postings.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    if stamp:
+        restamp(index_dir, "postings.jsonl")
+
+
+def _rewrite_posting_row(change, *, stamp=True):
+    """Apply ``change`` to the first posting row that lists two documents or more."""
+
     def corrupt(index_dir):
-        path = index_dir / "postings.jsonl"
-        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        row = json.loads(first)
-        change(row)
-        path.write_text(json.dumps(row) + "\n" + "".join(rest), encoding="utf-8")
+        rows = _posting_rows(index_dir)
+        change(next(row for row in rows if len(row["docs"]) > 1))
+        _write_posting_rows(index_dir, rows, stamp=stamp)
 
     return corrupt
 
 
 def _set_first_tf(tf):
     def change(row):
-        row["postings"][0][1] = tf
+        row["tfs"][0] = tf
 
-    return _rewrite_first_posting_row(change)
+    return _rewrite_posting_row(change)
+
+
+def _repeat_first_doc_in_row(row):
+    row["docs"].insert(1, row["docs"][0])
+    row["tfs"].insert(1, row["tfs"][0])
+
+
+def _reverse_row(row):
+    row["docs"].reverse()
+    row["tfs"].reverse()
+
+
+def _first_doc_true(row):
+    row["docs"][0] = True
+
+
+def _drop_last_tf(row):
+    row["tfs"].pop()
+
+
+def _empty_row(row):
+    row["docs"].clear()
+    row["tfs"].clear()
+
+
+def _bump_first_tf(row):
+    row["tfs"][0] += 5
+
+
+def _append_doc_count(index_dir):
+    """Append a posting of doc number doc_count, one past the last document."""
+    doc_count = json.loads((index_dir / "stats.json").read_text(encoding="utf-8"))["doc_count"]
+    _rewrite_posting_row(lambda row: (row["docs"].append(doc_count), row["tfs"].append(1)))(
+        index_dir
+    )
 
 
 def _repeat_first_row(index_dir):
+    rows = _posting_rows(index_dir)
+    _write_posting_rows(index_dir, [*rows, rows[0]])
+
+
+def _edit_one_byte(name):
+    """Turn the file's last digit or letter into the next one, keeping its size
+    and digest entry. The edited file still parses."""
+
+    def corrupt(index_dir):
+        path = index_dir / name
+        data = bytearray(path.read_bytes())
+        at = max(i for i, byte in enumerate(data) if chr(byte).isalnum() and byte not in b"9zZ")
+        data[at] += 1
+        path.write_bytes(data)
+
+    return corrupt
+
+
+def _truncate_postings(index_dir):
     path = index_dir / "postings.jsonl"
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(path.read_text(encoding="utf-8").splitlines(keepends=True)[0])
+    first = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    path.write_text(first, encoding="utf-8")
+
+
+def _write_version_2_index(index_dir):
+    """Rewrite the saved index in the retired version-2 layout: each posting a
+    ``[doc_id, tf]`` pair, and no postings counts or file digests in stats.json."""
+    stats = json.loads((index_dir / "stats.json").read_text(encoding="utf-8"))
+    ids = sorted(stats["doc_ids"])
+    rows = [
+        {
+            "space": row["space"],
+            "term": row["term"],
+            "postings": [[ids[doc], tf] for doc, tf in zip(row["docs"], row["tfs"])],
+        }
+        for row in _posting_rows(index_dir)
+    ]
+    _write_posting_rows(index_dir, rows, stamp=False)
+    del stats["postings"], stats["files"]
+    stats["version"] = 2
+    (index_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
 
 
 def _rewrite_stats(change):
@@ -97,9 +193,12 @@ def _repeat_first_doc_id(stats):
     stats["doc_count"] += 1
 
 
-def _miscount_first_space(stats):
-    space = next(iter(stats["terms"]))
-    stats["terms"][space] += 1
+def _miscount_first_space(counts):
+    def change(stats):
+        space = next(iter(stats[counts]))
+        stats[counts][space] += 1
+
+    return change
 
 
 def _write_non_utf8_stats(index_dir):
@@ -107,13 +206,26 @@ def _write_non_utf8_stats(index_dir):
 
 
 # Damage that a saved index must be rejected for: (corrupt(index_dir), the
-# phrase the IndexFormatError names it by).
+# phrase the IndexFormatError names it by). stats.json records each other
+# file's size and digest, so an edit to one of those files is caught by the
+# digest unless the edit stamps it afresh; the edits that stamp it test the
+# check that would catch them if the digest matched.
 INDEX_CORRUPTIONS = [
     pytest.param(_repeat_first_row, "two posting rows", id="term-in-two-rows"),
     pytest.param(
-        _rewrite_first_posting_row(lambda row: row["postings"].append(row["postings"][0])),
+        _rewrite_posting_row(_repeat_first_doc_in_row),
         "lists a document twice",
         id="doc-twice-in-row",
+    ),
+    pytest.param(_rewrite_posting_row(_reverse_row), "do not ascend", id="docs-not-ascending"),
+    pytest.param(
+        _rewrite_posting_row(_first_doc_true), "unknown document number True", id="doc-number-true"
+    ),
+    pytest.param(_append_doc_count, "unknown document number", id="doc-number-past-doc-count"),
+    pytest.param(
+        _rewrite_posting_row(_drop_last_tf),
+        "docs and tfs lists of one length",
+        id="columns-of-unequal-length",
     ),
     *(
         pytest.param(_set_first_tf(tf), "term frequency", id=f"tf-{tf!r}")
@@ -124,9 +236,7 @@ INDEX_CORRUPTIONS = [
         for value in ("the", 3, ["the", 3])
     ),
     pytest.param(
-        _rewrite_first_posting_row(lambda row: row["postings"].clear()),
-        "lists no documents",
-        id="row-without-documents",
+        _rewrite_posting_row(_empty_row), "lists no documents", id="row-without-documents"
     ),
     pytest.param(
         _rewrite_stats(_repeat_first_doc_id), "lists document 'd1' twice", id="doc-id-twice"
@@ -139,13 +249,41 @@ INDEX_CORRUPTIONS = [
         "doc_count",
         id="doc-count-mismatch",
     ),
-    pytest.param(_rewrite_stats(_miscount_first_space), "term counts", id="term-count-mismatch"),
+    pytest.param(
+        _rewrite_stats(_miscount_first_space("terms")), "term counts", id="term-count-mismatch"
+    ),
+    pytest.param(
+        _rewrite_stats(_miscount_first_space("postings")),
+        "posting counts",
+        id="posting-count-mismatch",
+    ),
     pytest.param(_write_non_utf8_stats, "codec can't decode", id="stats-not-utf8"),
     pytest.param(
         _rewrite_stats(lambda stats: stats["doc_ids"].append("d\ud800")),
         "surrogates not allowed",
         id="stats-lone-surrogate",
     ),
+    *(
+        pytest.param(
+            _edit_one_byte(name),
+            f"{name} does not match the sha256 digest",
+            id=f"one-byte-edit-{name}",
+        )
+        for name in ("postings.jsonl", "taxonomy.jsonl", "kb.jsonl")
+    ),
+    pytest.param(
+        _rewrite_posting_row(_bump_first_tf, stamp=False),
+        "postings.jsonl does not match the sha256 digest",
+        id="tf-bump-stale-digest",
+    ),
+    pytest.param(_truncate_postings, "postings.jsonl holds", id="postings-truncated"),
+    pytest.param(
+        lambda index_dir: (index_dir / "kb.jsonl").unlink(), "kb.jsonl is missing", id="kb-missing"
+    ),
+    pytest.param(
+        _rewrite_stats(lambda stats: stats.pop("files")), "lacks a files map", id="no-files-map"
+    ),
+    pytest.param(_write_version_2_index, "unsupported index version 2", id="version-2-directory"),
 ]
 
 

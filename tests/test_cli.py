@@ -565,9 +565,8 @@ class TestIdsWithWhitespace:
     def test_search_index_doc_id(self, data_dir, capsys):
         index_dir = build(data_dir)
         capsys.readouterr()
-        for name in ("stats.json", "postings.jsonl"):
-            path = index_dir / name
-            path.write_text(path.read_text().replace('"d1"', '"d 0x"'))
+        path = index_dir / "stats.json"
+        path.write_text(path.read_text().replace('"d1"', '"d 0x"'))
         rc = main([
             "search", "--index", str(index_dir),
             "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
@@ -583,6 +582,15 @@ class TestHostileInput:
         capsys.readouterr()
         rc = main(["dump-index", "--index", str(index_dir)])
         assert_one_error_line(rc, capsys, message)
+
+    @pytest.mark.parametrize("corrupt, message", INDEX_CORRUPTIONS)
+    def test_corrupt_index_fails_verification(self, data_dir, capsys, corrupt, message):
+        index_dir = build(data_dir)
+        corrupt(index_dir)
+        capsys.readouterr()
+        rc = main(["verify-index", "--index", str(index_dir)])
+        assert_one_error_line(rc, capsys, message)
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("end", ["start", "end"])
     def test_bool_span_offset(self, data_dir, capsys, end):
@@ -665,6 +673,22 @@ class TestDumpIndex:
         assert "space N: 4 terms" in out
         assert "space I: 2 terms" in out
         assert "I:e4" in out and "df=2" in out
+
+
+class TestVerifyIndex:
+    def test_clean_index(self, data_dir, capsys):
+        index_dir = build(data_dir)
+        capsys.readouterr()
+        assert main(["verify-index", "--index", str(index_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "verified 3 docs; terms/postings: "
+            "N=4/8, C=4/8, NC=8/16, I=2/4, KW=5/6, KW_FULL=10/13\n"
+        )
+        stats = json.loads((index_dir / "stats.json").read_text())
+        counts = [f"{s}={stats['terms'][s]}/{stats['postings'][s]}" for s in stats["terms"]]
+        assert captured.out.endswith(": " + ", ".join(counts) + "\n")
 
 
 class TestProcess:

@@ -25,13 +25,13 @@ from conftest import write_jsonl
 # and the dump are the same in both modes; only the reports differ.
 SHARED = {
     "dump-index":
-        "5816dc006794b2f47c8780144c7ebc9f171d917209ebd1a3ebd59a465baf5c87",
+        "85e9672727fbe0032e86884f9d5499f8f4cd73d0a1363d9892cb5b6adf8cd79f",
     "ix/kb.jsonl":
         "e24c55ca4d75884fd683cd4da7ba718dfcba67872e806f42d17719f2c6772903",
     "ix/postings.jsonl":
-        "944bde56691e183a215e8d9734787e3c969fe9b035002d370bf906651b6b34dc",
+        "8c7c559c7ed4f14309ce3dace1abeb2c7cadcf42c7f2946215b1062a15e39f85",
     "ix/stats.json":
-        "666b62b67aed477e69884e03207c3e0fd23c642b802df73a89f1a66e6f81918c",
+        "23800d66a329c0fea5032c59e26149bc50e773baf638a4cb89ff034bcce40e21",
     "ix/taxonomy.jsonl":
         "455aed133866935087e5175440e55db1ae7274fdd39e3d4e16b9dfefc117b435",
     "out/runs/kw-and-ne-n.run":

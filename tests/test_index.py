@@ -1,5 +1,6 @@
 """Index construction, statistics, persistence, and dumping."""
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -7,7 +8,7 @@ import math
 import pytest
 
 import corpusgen
-from conftest import INDEX_CORRUPTIONS, write_version_1_index
+from conftest import INDEX_CORRUPTIONS, restamp, write_version_1_index
 from ontovsm.corpus import ingest_document
 from ontovsm.errors import CorpusError, IndexFormatError
 from ontovsm.index import (
@@ -251,26 +252,52 @@ class TestPersistence:
         lines = (tmp_path / "ix" / "postings.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in lines]
         assert len(rows) == sum(city_index.term_count(s) for s in STORED_SPACES)
-        assert {"space": "N", "term": ["saigon", ""], "postings": [["d1", 1], ["d2", 1]]} in rows
-        assert {"space": "KW_FULL", "term": ["city", ""], "postings": [["d1", 1]]} in rows
+        assert {"space": "N", "term": ["saigon", ""], "docs": [0, 1], "tfs": [1, 1]} in rows
+        assert {"space": "KW_FULL", "term": ["city", ""], "docs": [0], "tfs": [1]} in rows
+
+    def test_stats_describe_the_saved_files(self, tmp_path, city_index):
+        save_index(city_index, tmp_path / "ix")
+        stats = json.loads((tmp_path / "ix" / "stats.json").read_text())
+        assert stats["version"] == 3
+        assert stats["terms"] == {s: city_index.term_count(s) for s in STORED_SPACES}
+        assert stats["postings"] == {
+            s: sum(len(city_index.postings(t, s)) for t in city_index.terms(s))
+            for s in STORED_SPACES
+        }
+        assert stats["postings"]["N"] == 5
+        for name in ("postings.jsonl", "taxonomy.jsonl", "kb.jsonl"):
+            data = (tmp_path / "ix" / name).read_bytes()
+            assert stats["files"][name] == {
+                "bytes": len(data),
+                "sha256": hashlib.sha256(data).hexdigest(),
+            }
+        assert sorted(stats["files"]) == ["kb.jsonl", "postings.jsonl", "taxonomy.jsonl"]
+
+    def test_rows_saved_in_ascending_doc_numbers(self, tmp_path, kb, taxonomy):
+        # The corpus comes in d9, d10, d2: a built list keeps that order, a
+        # saved row and the list loaded from it ascend by doc number.
+        ids = ["d9", "d10", "d2"]
+        records = [dict(r, doc_id=d) for r, d in zip(corpusgen.CITY_DOC_RECORDS, ids)]
+        index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+        growing = keyword_term("growing")
+        assert list(index.posting_list(growing, "KW")) == [2, 1, 1, 1]
+        save_index(index, tmp_path / "a")
+        lines = (tmp_path / "a" / "postings.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert {"space": "KW", "term": ["growing", ""], "docs": [1, 2], "tfs": [1, 1]} in rows
+        assert all(row["docs"] == sorted(row["docs"]) for row in rows)
+        loaded = load_index(tmp_path / "a")
+        assert list(loaded.posting_list(growing, "KW")) == [1, 1, 2, 1]
+        assert loaded.norms == index.norms
+        save_index(loaded, tmp_path / "b")
+        for name in ("stats.json", "postings.jsonl"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_save_load_save_byte_identical(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "a")
         save_index(load_index(tmp_path / "a"), tmp_path / "b")
         for name in ("stats.json", "postings.jsonl", "taxonomy.jsonl", "kb.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    def test_reordered_full_keyword_row_saved_as_read(self, tmp_path, city_index):
-        # Its KW row lists the same (doc, tf) pairs in the other order; sharing
-        # that list would make the next save rewrite the row.
-        save_index(city_index, tmp_path / "a")
-        path = tmp_path / "a" / "postings.jsonl"
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        growing = {"space": "KW_FULL", "term": ["growing", ""], "postings": [["d1", 1], ["d3", 1]]}
-        rows[rows.index(growing)]["postings"].reverse()
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        save_index(load_index(tmp_path / "a"), tmp_path / "b")
-        assert (tmp_path / "b" / "postings.jsonl").read_bytes() == path.read_bytes()
 
     def test_stopwords_round_trip(self, tmp_path, kb, taxonomy):
         docs = [
@@ -317,25 +344,31 @@ class TestPersistence:
         path = tmp_path / "ix" / "postings.jsonl"
         saved = path.read_text()
         for term in (["saigon"], ["saigon", "City", ""], ["saigon", 7], "ab", None):
-            row = {"space": "NC", "term": term, "postings": [["d1", 1]]}
+            row = {"space": "NC", "term": term, "docs": [0], "tfs": [1]}
             path.write_text(saved + json.dumps(row) + "\n")
+            restamp(tmp_path / "ix", "postings.jsonl")
             with pytest.raises(IndexFormatError, match="malformed posting row"):
                 load_index(tmp_path / "ix")
 
     def test_posting_in_unknown_space(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
-        row = {"space": "UNIFIED", "term": ["saigon", ""], "postings": [["d1", 1]]}
+        row = {"space": "UNIFIED", "term": ["saigon", ""], "docs": [0], "tfs": [1]}
         with open(tmp_path / "ix" / "postings.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(row) + "\n")
+        restamp(tmp_path / "ix", "postings.jsonl")
         with pytest.raises(IndexFormatError, match="unknown term space"):
             load_index(tmp_path / "ix")
 
     def test_posting_with_unknown_doc(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
         path = tmp_path / "ix" / "postings.jsonl"
-        path.write_text(path.read_text().replace('"d1"', '"d9"'))
-        with pytest.raises(IndexFormatError, match="unknown document"):
-            load_index(tmp_path / "ix")
+        saved = path.read_text()
+        for doc in (-1, 3, 2**40, 1.0, "0", None):
+            row = {"space": "KW", "term": ["unheard", ""], "docs": [0, doc], "tfs": [1, 1]}
+            path.write_text(saved + json.dumps(row) + "\n")
+            restamp(tmp_path / "ix", "postings.jsonl")
+            with pytest.raises(IndexFormatError, match=f"unknown document number {doc!r}"):
+                load_index(tmp_path / "ix")
 
     @pytest.mark.parametrize("bad_id", ["d 1", "d1\n", "", 7, None])
     def test_malformed_doc_id_in_stats(self, tmp_path, city_index, bad_id):
