@@ -62,6 +62,7 @@ from .retrieval import (
     ModelKind,
     RankedResult,
     filter_documents,
+    rank,
     score,
     search,
 )

@@ -40,7 +40,7 @@ from .index import (
     save_index,
 )
 from .ontology import read_kb_file, read_taxonomy_file, write_jsonl
-from .retrieval import ALL_MODELS, ModelConfig, ModelKind, search
+from .retrieval import ALL_MODELS, ModelConfig, ModelKind, rank
 from .termspace import TERM_SPACES
 
 
@@ -150,7 +150,7 @@ def _search_all(
         runs = {}
         for query in queries:
             try:
-                runs[query.query_id] = search(index, query, model, config, top_k)
+                runs[query.query_id] = rank(index, query, model, config, top_k)
             except EmptyQueryError as exc:
                 # The model cannot express this query; its run stays empty for it.
                 print(f"warning: {model.value}: {exc}", file=sys.stderr)

@@ -202,7 +202,8 @@ def build_index(
     doc_ids: list[str] = []
     raw = {s: defaultdict(partial(array, TYPECODE)) for s in STORED_SPACES}
     # Shared by every document of this build: each distinct mention is
-    # expanded once, however often the collection repeats it.
+    # expanded, and each distinct token made a term, once, however often the
+    # collection repeats it.
     expansions: dict = {}
     for number, doc in enumerate(docs):
         doc_ids.append(doc.doc_id)
@@ -212,7 +213,10 @@ def build_index(
             plist.append(tf)
         # The keyword baseline sees the whole text as keywords, annotated or not.
         for token, tf in Counter(doc.tokens).items():
-            plist = raw["KW_FULL"][keyword_term(token)]
+            term = expansions.get(token)
+            if term is None:
+                term = expansions[token] = keyword_term(token)
+            plist = raw["KW_FULL"][term]
             plist.append(number)
             plist.append(tf)
     # Documents were numbered as they came; the index numbers them by doc id.
@@ -412,11 +416,13 @@ def load_index(path: str | Path) -> InvertedIndex:
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> None:
-    """Human-readable listing of the five partitioned term spaces."""
+    """Human-readable listing of the five partitioned term spaces. Each term's
+    postings are listed by ascending doc id, so an index dumps the same before
+    and after a save."""
     out.write(f"documents: {index.n_docs}\n")
     for space in TERM_SPACES:
         out.write(f"space {space}: {index.term_count(space)} terms\n")
         for term in index.terms(space):
             plist = index.postings(term, space)
-            occurrences = " ".join(f"{doc}:{tf}" for doc, tf in plist.items())
+            occurrences = " ".join(f"{doc}:{tf}" for doc, tf in sorted(plist.items()))
             out.write(f"  {format_term(term)}  df={len(plist)}  {occurrences}\n")

@@ -18,12 +18,12 @@ Every model is thus a weighted sum of per-space cosines, so a (query, model)
 pair needs only the postings and idfs of the query terms the model reads.
 ``_read`` is the one place that decides them: it builds the model's query
 terms, reads each once in the stored space the model reads it from, and raises
-``EmptyQueryError`` when the model reads none. ``filter_documents``, ``search``
-and ``score`` all start from it. The filter unions those postings, and
+``EmptyQueryError`` when the model reads none. ``filter_documents``, ``search``,
+``rank`` and ``score`` all start from it. The filter unions those postings, and
 ``_scores`` walks the model's spaces: a document scores
 ``sum c * tf(d, term) / |d|_space`` over postings already in hand, one c per read.
-Both work on the index's doc numbers, which ascend with doc id; ``search`` and
-``filter_documents`` map numbers to ids only for what they return.
+Both work on the index's doc numbers, which ascend with doc id; ``search``,
+``rank`` and ``filter_documents`` map numbers to ids only for what they return.
 """
 from __future__ import annotations
 
@@ -243,6 +243,25 @@ def score(
     return _scores(index, reads, model, config or DEFAULT_CONFIG, (doc,))[doc]
 
 
+def _ranked(
+    index: InvertedIndex,
+    query: Query,
+    model: ModelKind,
+    config: ModelConfig | None,
+    top_k: int,
+) -> tuple[list[int], dict[int, float]]:
+    """Filter and score: the top ``top_k`` doc numbers, best first, and the scores
+    of every candidate by doc number."""
+    if top_k < 0:
+        raise ValueError(f"top_k must be non-negative, got {top_k}")
+    reads = _read(index, query, model)
+    scores = _scores(index, reads, model, config or DEFAULT_CONFIG, _candidates(reads, model))
+    # Doc numbers ascend with doc id, so the stable sort by score keeps ties in id order.
+    ranked = sorted(scores)
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    return ranked[:top_k], scores
+
+
 def search(
     index: InvertedIndex,
     query: Query,
@@ -251,12 +270,21 @@ def search(
     top_k: int = 1000,
 ) -> list[RankedResult]:
     """Filter, score, and rank; ties break by ascending document id."""
-    if top_k < 0:
-        raise ValueError(f"top_k must be non-negative, got {top_k}")
-    reads = _read(index, query, model)
-    scores = _scores(index, reads, model, config or DEFAULT_CONFIG, _candidates(reads, model))
-    # Doc numbers ascend with doc id, so the stable sort by score keeps ties in id order.
-    ranked = sorted(scores)
-    ranked.sort(key=scores.__getitem__, reverse=True)
+    ranked, scores = _ranked(index, query, model, config, top_k)
     ids = index.ids
-    return [_result((ids[doc], scores[doc])) for doc in ranked[:top_k]]
+    return [_result((ids[doc], scores[doc])) for doc in ranked]
+
+
+def rank(
+    index: InvertedIndex,
+    query: Query,
+    model: ModelKind,
+    config: ModelConfig | None = None,
+    top_k: int = 1000,
+) -> list[tuple[str, float]]:
+    """``search``'s ranking as plain ``(doc_id, score)`` tuples, for a caller that
+    only writes them out: a ``RankedResult`` costs about three times as much to
+    make, and the garbage collector never untracks it."""
+    ranked, scores = _ranked(index, query, model, config, top_k)
+    ids = index.ids
+    return [(ids[doc], scores[doc]) for doc in ranked]

@@ -111,13 +111,15 @@ def document_terms(
     doc: AnnotatedDocument,
     kb: KnowledgeBase,
     taxonomy: ClassTaxonomy,
-    expansions: dict[tuple, tuple[Term, ...]] | None = None,
+    expansions: dict[tuple | str, tuple[Term, ...] | Term] | None = None,
 ) -> Counter[Term]:
     """Term frequencies of one document across the five partitioned spaces.
 
-    ``expansions`` caches each distinct mention's expanded terms across the
-    documents of one build; ``None`` starts an empty cache. Pass only a cache
-    that earlier calls with the same knowledge base and taxonomy filled.
+    ``expansions`` caches, across the documents of one build, each distinct
+    mention's expanded terms under its (name, class, identifier) tuple and each
+    keyword token's ``KW`` term under the token; ``None`` starts an empty cache.
+    Pass only a cache that earlier calls with the same knowledge base and
+    taxonomy filled.
     """
     # An expansion reads only the mention's (name, class, identifier) and names
     # each term once, so a mention occurring n times adds n to each of its terms.
@@ -133,7 +135,10 @@ def document_terms(
         for term in terms:
             counts[term] += n
     for token, n in Counter(doc.keyword_tokens).items():
-        counts[keyword_term(token)] += n
+        term = expansions.get(token)
+        if term is None:
+            term = expansions[token] = keyword_term(token)
+        counts[term] += n
     return counts
 
 

@@ -464,6 +464,27 @@ class TestCompare:
         assert len(reports[0]) == 2 + len(ALL_MODELS)
         assert reports[0] == reports[1]
 
+    def test_search_over_saved_index_writes_the_same_runs(self, tmp_path):
+        # compare ranks on the index it built, search on that index saved and
+        # loaded, whose posting lists are in another order.
+        data = corpusgen.synthetic_dataset(seed=7, n_docs=200, n_queries=12)
+        for name in ("taxonomy", "kb", "docs", "queries"):
+            write_jsonl(tmp_path / f"{name}.jsonl", data[name])
+        (tmp_path / "qrels.txt").write_text("".join(corpusgen.qrels_lines(data["qrels"])))
+        queries, index_dir = str(tmp_path / "queries.jsonl"), str(tmp_path / "ix")
+        assert main([
+            "compare", "--taxonomy", str(tmp_path / "taxonomy.jsonl"),
+            "--kb", str(tmp_path / "kb.jsonl"), "--corpus", str(tmp_path / "docs.jsonl"),
+            "--queries", queries, "--qrels", str(tmp_path / "qrels.txt"),
+            "--out", str(tmp_path / "cmp"), "--index", index_dir,
+        ]) == 0
+        assert main(["search", "--index", index_dir, "--queries", queries,
+                     "--out", str(tmp_path / "search")]) == 0
+        runs = [{p.name: p.read_bytes() for p in d.iterdir()}
+                for d in (tmp_path / "cmp" / "runs", tmp_path / "search")]
+        assert len(runs[0]) == len(ALL_MODELS)
+        assert runs[0] == runs[1]
+
     def test_repeat_runs_are_byte_identical(self, data_dir):
         outputs = []
         for name in ("one", "two"):

@@ -405,3 +405,16 @@ class TestDump:
         assert "space KW: 6 terms" in text
         assert "N:saigon  df=2  d1:1 d2:1" in text
         assert "I:e1  df=1  d1:1" in text
+
+    def test_built_and_loaded_index_dump_alike(self, tmp_path, kb, taxonomy):
+        # The corpus comes in d9, d10, d2, so the built lists are not in doc-id
+        # order, while the saved and loaded ones are.
+        ids = ["d9", "d10", "d2"]
+        records = [dict(r, doc_id=d) for r, d in zip(corpusgen.CITY_DOC_RECORDS, ids)]
+        index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+        save_index(index, tmp_path / "ix")
+        built, loaded = io.StringIO(), io.StringIO()
+        dump_index(index, built)
+        dump_index(load_index(tmp_path / "ix"), loaded)
+        assert "KW:growing  df=2  d2:1 d9:1" in built.getvalue()
+        assert built.getvalue() == loaded.getvalue()

@@ -17,6 +17,7 @@ from ontovsm.retrieval import (
     ModelKind,
     RankedResult,
     filter_documents,
+    rank,
     score,
     search,
 )
@@ -265,6 +266,38 @@ class TestScore:
             for model in ALL_MODELS:
                 for result in search(index, query, model):
                     assert 0.0 <= result.score <= 1.0 + 1e-12
+
+
+@pytest.fixture(scope="module")
+def synthetic_200():
+    """corpusgen's 200-document collection at seed 7, indexed, with its 12 queries."""
+    data = corpusgen.synthetic_dataset(seed=7, n_docs=200, n_queries=12)
+    taxonomy = load_taxonomy(data["taxonomy"])
+    kb = load_knowledge_base(data["kb"], taxonomy)
+    index = build_index([ingest_document(r, kb, taxonomy) for r in data["docs"]], kb, taxonomy)
+    return index, [query_from_record(r, kb, taxonomy) for r in data["queries"]]
+
+
+class TestRank:
+    @pytest.mark.parametrize("top_k", [1000, 10, 0])
+    def test_pairs_equal_search_results(self, synthetic_200, top_k):
+        index, queries = synthetic_200
+        for query in queries:
+            for model in ALL_MODELS:
+                try:
+                    results = search(index, query, model, top_k=top_k)
+                except EmptyQueryError:
+                    with pytest.raises(EmptyQueryError):
+                        rank(index, query, model, top_k=top_k)
+                    continue
+                pairs = rank(index, query, model, top_k=top_k)
+                assert pairs == [tuple(r) for r in results]
+                assert all(type(r) is RankedResult for r in results)
+                assert all(type(p) is tuple for p in pairs)
+
+    def test_negative_top_k_rejected(self, un_index, un_query):
+        with pytest.raises(ValueError):
+            rank(un_index, un_query, ModelKind.NE_N, top_k=-1)
 
 
 class TestSearch:
