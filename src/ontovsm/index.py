@@ -78,12 +78,11 @@ class InvertedIndex:
     Documents are numbered 0..n-1 in ascending doc-id order: ``ids[number]`` is
     a document's id, while ``doc_ids`` keeps the order the documents came in.
     Each posting list is an ``array('I')`` of (doc number, tf) pairs,
-    interleaved, and ``norms[space]`` an ``array('d')`` indexed by doc number,
-    0.0 for a document with no term in that space.
+    interleaved, in ascending doc-number order and of exactly their size, and
+    ``norms[space]`` an ``array('d')`` indexed by doc number, 0.0 for a document
+    with no term in that space.
     The index keeps the lists it is given, uncopied: ``postings`` must hold
-    every stored space, numbered so, and its lists must not change afterwards.
-    A built list keeps the order its documents came in; a loaded one ascends,
-    as ``save_index`` writes it. No score or norm depends on that order.
+    every stored space, numbered and ordered so, and its lists must not change afterwards.
     A ``KW_FULL`` list equal to the ``KW`` list of its term, in order, is that list.
 
     The constructor checks that each id is plain and listed once, and sorts
@@ -124,13 +123,15 @@ class InvertedIndex:
         self.norms: dict[str, array] = {}
         for space, sp in self._postings.items():
             sumsq = [0.0] * n_docs
-            accs = (sumsq, unified) if space in TERM_SPACES else (sumsq,)
+            partitioned = space in TERM_SPACES
             for plist in sp.values():
                 idf = idf_weight(n_docs, len(plist) // 2)
                 for doc, tf in _pairs(plist):
                     weight = tf * idf
-                    for acc in accs:
-                        acc[doc] += weight * weight
+                    square = weight * weight
+                    sumsq[doc] += square
+                    if partitioned:
+                        unified[doc] += square
             self.norms[space] = array("d", map(math.sqrt, sumsq))
         self.norms["UNIFIED"] = array("d", map(math.sqrt, unified))
 
@@ -163,7 +164,7 @@ class InvertedIndex:
             raise ValueError(f"unknown term space {space!r}") from None
 
     def postings(self, term: Term, space: str) -> dict[str, int]:
-        """A fresh ``{doc_id: tf}`` map of the term's postings, in stored order."""
+        """A fresh ``{doc_id: tf}`` map of the term's postings, in ascending doc-id order."""
         ids = self.ids
         return {ids[doc]: tf for doc, tf in _pairs(self.posting_list(term, space))}
 
@@ -174,12 +175,21 @@ def _sorted_ids(doc_ids: list[str]) -> list[str]:
     load_index and load_run_file reject any other."""
     for doc_id in doc_ids:
         if not is_plain_id(doc_id):
-            raise CorpusError(f"document id {doc_id!r} is empty or holds whitespace")
+            fault = "is empty or holds whitespace" if isinstance(doc_id, str) else "is not a string"
+            raise CorpusError(f"document id {doc_id!r} {fault}")
     ids = sorted(doc_ids)
     for doc_id, following in pairwise(ids):
         if doc_id == following:
             raise CorpusError(f"document {doc_id!r} indexed twice")
     return ids
+
+
+def _interleaved(docs: list[int], tfs: Iterable[int]) -> PostingList:
+    """Doc numbers and their tfs, in step, interleaved into an array of exactly their size."""
+    plist = _ZERO * (2 * len(docs))
+    plist[::2] = array(TYPECODE, docs)
+    plist[1::2] = array(TYPECODE, tfs)
+    return plist
 
 
 def _pairs(plist: PostingList) -> Iterator[tuple[int, int]]:
@@ -219,29 +229,24 @@ def build_index(
             plist = raw["KW_FULL"][term]
             plist.append(number)
             plist.append(tf)
-    # Documents were numbered as they came; the index numbers them by doc id.
+    # Documents were numbered as they came; renumber them by doc id, and sort each list.
     ids = _sorted_ids(doc_ids)
     rank = {doc_id: number for number, doc_id in enumerate(ids)}
     renumber = [rank[doc_id] for doc_id in doc_ids]
     for space in raw.values():
-        for plist in space.values():
-            plist[::2] = array(TYPECODE, map(renumber.__getitem__, plist[::2]))
+        for term, plist in space.items():
+            docs = list(map(renumber.__getitem__, plist[::2]))
+            tf_of = dict(zip(docs, plist[1::2]))
+            docs.sort()
+            space[term] = _interleaved(docs, map(tf_of.__getitem__, docs))  # an existing key
     return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords, ids=ids)
-
-
-def _columns(plist: PostingList) -> tuple[list[int], list[int]]:
-    """A posting list's doc numbers in ascending order, and their tfs in step."""
-    docs = plist[::2].tolist()
-    tf_of = dict(zip(docs, plist[1::2]))
-    docs.sort()
-    return docs, list(map(tf_of.__getitem__, docs))
 
 
 def _posting_rows(index: InvertedIndex) -> Iterator[dict]:
     for space in STORED_SPACES:
         for term, plist in index._postings[space].items():
-            docs, tfs = _columns(plist)
             term_pair = [term.primary, term.secondary]
+            docs, tfs = plist[::2].tolist(), plist[1::2].tolist()
             yield {"space": space, "term": term_pair, "docs": docs, "tfs": tfs}
 
 
@@ -327,10 +332,7 @@ def _posting_array(docs, tfs, n_docs: int) -> PostingList:
                 f"not an integer from 1 to {MAX_TF}"
             )
         previous = doc
-    plist = _ZERO * (2 * len(docs))  # exactly the size of the pairs, unlike appends
-    plist[::2] = array(TYPECODE, docs)
-    plist[1::2] = array(TYPECODE, tfs)
-    return plist
+    return _interleaved(docs, tfs)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
@@ -359,19 +361,16 @@ def load_index(path: str | Path) -> InvertedIndex:
     doc_ids = stats.get("doc_ids")
     if not isinstance(doc_ids, list):
         raise IndexFormatError(f"{path}: stats.json lacks a doc_ids list")
-    for doc_id in doc_ids:
-        if not is_plain_id(doc_id):
-            raise IndexFormatError(f"{path}: stats.json has a malformed doc id {doc_id!r}")
-    ids = sorted(doc_ids)
-    if len(set(ids)) != len(doc_ids):
-        repeated = next(d for d, count in Counter(doc_ids).items() if count > 1)
-        raise IndexFormatError(f"{path}: stats.json lists document {repeated!r} twice")
+    try:
+        ids = _sorted_ids(doc_ids)
+    except CorpusError as exc:
+        raise IndexFormatError(f"{path / 'stats.json'}: {exc}") from None
     if stats.get("doc_count") != len(doc_ids):
         raise IndexFormatError(
             f"{path}: stats.json's doc_count {stats.get('doc_count')!r} "
             f"does not match its {len(doc_ids)} doc ids"
         )
-    stopwords = stats.get("stopwords", [])
+    stopwords = stats.get("stopwords")
     if not (isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
         raise IndexFormatError(f"{path}: stats.json's stopwords is not a list of strings")
 
@@ -416,13 +415,12 @@ def load_index(path: str | Path) -> InvertedIndex:
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> None:
-    """Human-readable listing of the five partitioned term spaces. Each term's
-    postings are listed by ascending doc id, so an index dumps the same before
-    and after a save."""
+    """Human-readable listing of the five partitioned term spaces, each term's
+    postings by ascending doc id."""
     out.write(f"documents: {index.n_docs}\n")
     for space in TERM_SPACES:
         out.write(f"space {space}: {index.term_count(space)} terms\n")
         for term in index.terms(space):
             plist = index.postings(term, space)
-            occurrences = " ".join(f"{doc}:{tf}" for doc, tf in sorted(plist.items()))
+            occurrences = " ".join(f"{doc}:{tf}" for doc, tf in plist.items())
             out.write(f"  {format_term(term)}  df={len(plist)}  {occurrences}\n")

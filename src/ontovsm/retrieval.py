@@ -213,8 +213,8 @@ def _scores(
 
 
 def _narrowed(plist: PostingList, doc: int) -> PostingList:
-    """The pair of ``plist`` that names ``doc``, or no pair. Lists keep their stored
-    order, which need not ascend, so the doc column is sliced and searched at C speed."""
+    """The pair of ``plist`` that names ``doc``, or no pair. The doc column is
+    sliced and searched at C speed."""
     try:
         i = 2 * plist[::2].index(doc)
     except ValueError:

@@ -238,11 +238,22 @@ INDEX_CORRUPTIONS = [
     pytest.param(
         _rewrite_posting_row(_empty_row), "lists no documents", id="row-without-documents"
     ),
+    *(
+        pytest.param(
+            _rewrite_posting_row(lambda row, key=key: row.pop(key)),
+            "malformed posting row",
+            id=f"row-without-{key}",
+        )
+        for key in ("tfs", "term")
+    ),
     pytest.param(
-        _rewrite_stats(_repeat_first_doc_id), "lists document 'd1' twice", id="doc-id-twice"
+        _rewrite_stats(_repeat_first_doc_id), "document 'd1' indexed twice", id="doc-id-twice"
     ),
     pytest.param(
         _rewrite_stats(lambda stats: stats.pop("doc_ids")), "lacks a doc_ids list", id="no-doc-ids"
+    ),
+    pytest.param(
+        _rewrite_stats(lambda stats: stats.pop("stopwords")), "stopwords", id="no-stopwords"
     ),
     pytest.param(
         _rewrite_stats(lambda stats: stats.update(doc_count=stats["doc_count"] + 1)),

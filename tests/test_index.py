@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -20,7 +21,7 @@ from ontovsm.index import (
     load_index,
     save_index,
 )
-from ontovsm.ontology import KnowledgeBase, load_taxonomy
+from ontovsm.ontology import KnowledgeBase, load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import ModelKind, score
 from ontovsm.termspace import class_term, identifier_term, keyword_term, name_term
 
@@ -105,7 +106,7 @@ class TestBuild:
         assert index.doc_ids == ids
         assert index.ids == ["d10", "d2", "d9"]
         assert index.postings(keyword_term("growing"), "KW") == {"d9": 1, "d2": 1}
-        assert list(index.posting_list(keyword_term("growing"), "KW")) == [2, 1, 1, 1]
+        assert list(index.posting_list(keyword_term("growing"), "KW")) == [1, 1, 2, 1]
 
 
 @pytest.fixture(params=["built", "loaded"])
@@ -274,13 +275,13 @@ class TestPersistence:
         assert sorted(stats["files"]) == ["kb.jsonl", "postings.jsonl", "taxonomy.jsonl"]
 
     def test_rows_saved_in_ascending_doc_numbers(self, tmp_path, kb, taxonomy):
-        # The corpus comes in d9, d10, d2: a built list keeps that order, a
-        # saved row and the list loaded from it ascend by doc number.
+        # The corpus comes in d9, d10, d2, yet the built list, the saved row and
+        # the list loaded from it all ascend by doc number.
         ids = ["d9", "d10", "d2"]
         records = [dict(r, doc_id=d) for r, d in zip(corpusgen.CITY_DOC_RECORDS, ids)]
         index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
         growing = keyword_term("growing")
-        assert list(index.posting_list(growing, "KW")) == [2, 1, 1, 1]
+        assert list(index.posting_list(growing, "KW")) == [1, 1, 2, 1]
         save_index(index, tmp_path / "a")
         lines = (tmp_path / "a" / "postings.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in lines]
@@ -292,6 +293,21 @@ class TestPersistence:
         save_index(loaded, tmp_path / "b")
         for name in ("stats.json", "postings.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_built_index_holds_what_its_saved_copy_loads(self, tmp_path):
+        data = corpusgen.synthetic_dataset(seed=7, n_docs=200, n_queries=1)
+        taxonomy = load_taxonomy(data["taxonomy"])
+        kb = load_knowledge_base(data["kb"], taxonomy)
+        index = build_index([ingest_document(r, kb, taxonomy) for r in data["docs"]], kb, taxonomy)
+        save_index(index, tmp_path / "ix")
+        loaded = load_index(tmp_path / "ix")
+        for space in STORED_SPACES:
+            assert index.terms(space) == loaded.terms(space)
+            for term in index.terms(space):
+                built, saved = index.posting_list(term, space), loaded.posting_list(term, space)
+                assert built == saved, (space, term)
+                assert sys.getsizeof(built) == sys.getsizeof(saved), (space, term)
+        assert index.norms == loaded.norms
 
     def test_save_load_save_byte_identical(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "a")
@@ -378,8 +394,10 @@ class TestPersistence:
         stats = json.loads(path.read_text())
         stats["doc_ids"][0] = bad_id
         path.write_text(json.dumps(stats))
-        with pytest.raises(IndexFormatError, match="malformed doc id"):
+        with pytest.raises(IndexFormatError, match=r"stats\.json: document id ") as caught:
             load_index(tmp_path / "ix")
+        assert repr(bad_id) in str(caught.value)
+        assert ("whitespace" in str(caught.value)) == isinstance(bad_id, str)
 
     @pytest.mark.parametrize("corrupt, message", INDEX_CORRUPTIONS)
     def test_corrupt_index_rejected(self, tmp_path, city_index, corrupt, message):
@@ -407,8 +425,7 @@ class TestDump:
         assert "I:e1  df=1  d1:1" in text
 
     def test_built_and_loaded_index_dump_alike(self, tmp_path, kb, taxonomy):
-        # The corpus comes in d9, d10, d2, so the built lists are not in doc-id
-        # order, while the saved and loaded ones are.
+        # The corpus comes in d9, d10, d2, not in doc-id order.
         ids = ["d9", "d10", "d2"]
         records = [dict(r, doc_id=d) for r, d in zip(corpusgen.CITY_DOC_RECORDS, ids)]
         index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)

@@ -21,17 +21,16 @@ from ontovsm.index import STORED_SPACES, build_index, load_index, save_index
 from ontovsm.ontology import read_kb_file, read_taxonomy_file
 
 # Bytes per stored posting, measured on CPython 3.11.7 with 6,514 stored
-# postings: the build peaks at 34.4, a load at 25.8 and compare at 94.6. With
+# postings: the build peaks at 35.7, a load at 25.8 and compare at 94.6. With
 # postings saved as [doc_id, tf] pairs a load peaked at 29.1. Each bound sits
-# 14-16% above its reading, and no higher in bytes (about 261, 195 and 704 kB)
+# 12-16% above its reading, and no higher in bytes (about 261, 195 and 704 kB)
 # than the bounds once set at 3.0, 2.5 and 8.0 times the 88,924-byte
 # postings.jsonl of that format (267, 222 and 711 kB).
 BUILD_PEAK_PER_POSTING = 40
 LOAD_PEAK_PER_POSTING = 30
 COMPARE_PEAK_PER_POSTING = 108
-# A loaded index holds 18.9 bytes per stored posting on 3.11.7; built by
-# appends, its arrays held 19.3 (18.6 on 3.12, 19.9 on 3.10), and in dicts
-# keyed by doc-id strings it held 46.0.
+# A loaded index holds 18.9 bytes per stored posting on 3.11.7, and a built
+# one 20.0; in dicts keyed by doc-id strings an index held 46.0.
 LOADED_BYTES_PER_POSTING = 25
 
 
@@ -60,17 +59,30 @@ def data_dir(tmp_path_factory):
     return directory
 
 
+def spare_bytes(index):
+    """Each posting array's bytes beyond those of an exact copy."""
+    plists = [index.posting_list(t, s) for s in STORED_SPACES for t in index.terms(s)]
+    return [sys.getsizeof(p) - sys.getsizeof(p[:]) for p in plists]
+
+
 @pytest.fixture(scope="module")
-def built(data_dir):
-    """The build's peak, and the postings stored by the index it saves under
-    ``data_dir``, for the load to read."""
+def built_index(data_dir):
+    """The built index, the bytes it holds and the build's peak. The index is
+    saved under ``data_dir``, for the load to read."""
     taxonomy = read_taxonomy_file(data_dir / "taxonomy.jsonl")
     kb = read_kb_file(data_dir / "kb.jsonl", taxonomy)
-    index, _, peak = traced(
+    index, held, peak = traced(
         lambda: build_index(load_corpus(data_dir / "corpus.jsonl", kb, taxonomy), kb, taxonomy)
     )
     assert index.n_docs == 300
     save_index(index, data_dir / "index")
+    return index, held, peak
+
+
+@pytest.fixture(scope="module")
+def built(built_index):
+    """The postings the built index stores, and the build's peak."""
+    index, _, peak = built_index
     return sum(index.posting_count(s) for s in STORED_SPACES), peak
 
 
@@ -102,10 +114,22 @@ def test_loaded_index_holds_few_bytes_per_posting(data_dir, built):
 
 
 def test_loaded_posting_arrays_have_no_spare_room(data_dir, built):
-    index = load_index(data_dir / "index")
-    plists = [index.posting_list(t, s) for s in STORED_SPACES for t in index.terms(s)]
-    spare = [sys.getsizeof(p) - sys.getsizeof(p[:]) for p in plists]
-    assert spare == [0] * len(plists), f"{sum(spare)} spare bytes in the loaded arrays"
+    spare = spare_bytes(load_index(data_dir / "index"))
+    assert spare == [0] * len(spare), f"{sum(spare)} spare bytes in the loaded arrays"
+
+
+def test_built_index_holds_few_bytes_per_posting(built_index, built):
+    _, held, _ = built_index
+    stored, _ = built
+    per_posting = held / stored
+    assert per_posting < LOADED_BYTES_PER_POSTING, (
+        f"a built index holds {held} bytes, {per_posting:.1f} for each of {stored} postings"
+    )
+
+
+def test_built_posting_arrays_have_no_spare_room(built_index):
+    spare = spare_bytes(built_index[0])
+    assert spare == [0] * len(spare), f"{sum(spare)} spare bytes in the built arrays"
 
 
 def test_compare_peak_stays_near_the_index(data_dir, built, capsys):
