@@ -81,12 +81,16 @@ class InvertedIndex:
     interleaved, in ascending doc-number order and of exactly their size, and
     ``norms[space]`` an ``array('d')`` indexed by doc number, 0.0 for a document
     with no term in that space.
-    The index keeps the lists it is given, uncopied: ``postings`` must hold
-    every stored space, numbered and ordered so, and its lists must not change afterwards.
-    A ``KW_FULL`` list equal to the ``KW`` list of its term, in order, is that list.
+    ``postings`` must hold every stored space. A ``KW_FULL`` list equal to the
+    ``KW`` list of its term is that list.
 
     The constructor checks that each id is plain and listed once, and sorts
-    them; a builder that has already done so passes the result as ``ids``.
+    them; it rebuilds each posting list through the checks ``load_index`` makes
+    of a saved row, and raises ``CorpusError`` naming the term, the space and
+    the fault, so that an index built here saves only what loads back. A caller
+    that has already done all this, as ``build_index`` and ``load_index`` have,
+    passes the sorted ids as ``ids``: the index then keeps its lists uncopied,
+    and they must not change afterwards.
     """
 
     def __init__(
@@ -110,6 +114,17 @@ class InvertedIndex:
             space: {t: postings[space][t] for t in sorted(postings[space])}
             for space in STORED_SPACES
         }
+        if ids is None:  # a direct caller's lists: each is held to a saved row's rule
+            for space, sp in self._postings.items():
+                for term, plist in sp.items():
+                    try:
+                        sp[term] = _posting_array(
+                            list(plist[::2]), list(plist[1::2]), len(self.ids)
+                        )
+                    except ValueError as exc:
+                        raise CorpusError(
+                            f"posting list for {format_term(term)} in space {space} {exc}"
+                        ) from None
         kw, kw_full = self._postings["KW"], self._postings["KW_FULL"]
         for term, plist in kw_full.items():
             if kw.get(term) == plist:

@@ -20,10 +20,11 @@ pair needs only the postings and idfs of the query terms the model reads.
 terms, reads each once in the stored space the model reads it from, and raises
 ``EmptyQueryError`` when the model reads none. ``filter_documents``, ``search``,
 ``rank`` and ``score`` all start from it. The filter unions those postings, and
-``_scores`` walks the model's spaces: a document scores
-``sum c * tf(d, term) / |d|_space`` over postings already in hand, one c per read.
-Both work on the index's doc numbers, which ascend with doc id; ``search``,
-``rank`` and ``filter_documents`` map numbers to ids only for what they return.
+``_scores`` walks them all: a document scores ``sum c * tf(d, term) / |d|_space``,
+one c per read. Both work on doc numbers, which ascend with doc id, and map them
+to ids only for what they return. ``score`` reads one document's entry from the
+pass over the query's lists that ``search`` makes, so one call costs about one
+unranked search: to score many documents of a query, use ``search`` or ``rank``.
 """
 from __future__ import annotations
 
@@ -212,16 +213,6 @@ def _scores(
     return {d: round(s, SCORE_DECIMALS) if (s := acc[d]) < 1.0 else 1.0 for d in docs}
 
 
-def _narrowed(plist: PostingList, doc: int) -> PostingList:
-    """The pair of ``plist`` that names ``doc``, or no pair. The doc column is
-    sliced and searched at C speed."""
-    try:
-        i = 2 * plist[::2].index(doc)
-    except ValueError:
-        return plist[:0]
-    return plist[i : i + 2]
-
-
 def score(
     index: InvertedIndex,
     query: Query,
@@ -237,10 +228,7 @@ def score(
     doc = bisect_left(ids, doc_id)
     if doc == len(ids) or ids[doc] != doc_id:
         raise KeyError(f"unknown document {doc_id!r}")
-    reads = _read(index, query, model)
-    for rs in reads.values():  # narrowed to doc; each idf is still its whole list's
-        rs[:] = [(_narrowed(p, doc), w) for p, w in rs]
-    return _scores(index, reads, model, config or DEFAULT_CONFIG, (doc,))[doc]
+    return _scores(index, _read(index, query, model), model, config or DEFAULT_CONFIG, (doc,))[doc]
 
 
 def _ranked(

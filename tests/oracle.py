@@ -9,6 +9,7 @@ points that interpolation can read.
 """
 import math
 import re
+from collections import Counter
 
 from ontovsm.errors import EvalError
 
@@ -165,6 +166,11 @@ class Oracle:
             for doc_id in self.doc_ids
         }
         self.n_docs = len(self.doc_ids)
+        # Each table's document frequencies, counted once: one term per document.
+        self.dfs = {
+            which: Counter(term for counts in self._counts(which).values() for term in counts)
+            for which in ("entity", "kw", "full", "merged")
+        }
 
     def _counts(self, which):
         return {
@@ -174,12 +180,8 @@ class Oracle:
             "merged": self.merged_counts,
         }[which]
 
-    def _df(self, term, which):
-        table = self._counts(which)
-        return sum(1 for doc_id in self.doc_ids if term in table[doc_id])
-
     def _idf(self, term, which):
-        df = self._df(term, which)
+        df = self.dfs[which][term]
         if df == 0:
             return 0.0
         return math.log(1.0 + self.n_docs / df)
@@ -289,7 +291,9 @@ class Oracle:
             (doc_id, self.score(query, doc_id, model, weights, alpha))
             for doc_id in sorted(candidates)
         ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        # Rounded as the engine rounds, so scores equal but for float error tie
+        # and break by doc id, before the cut at k.
+        scored.sort(key=lambda pair: (-round(pair[1], 12), pair[0]))
         return scored[:k]
 
 

@@ -127,11 +127,12 @@ def _search_or_empty(index, query, model):
         return []
 
 
-def test_ranked_order_matches_oracle_at_scale(tmp_path):
-    """At 200 documents float rounding splits exact ties; the ranked order
-    must still follow the rounded oracle scores, then ascending doc id, and
-    a saved and reloaded index must rank identically."""
-    data = corpusgen.synthetic_dataset(seed=7, n_docs=200, n_queries=12)
+def _check_against_oracle(data, tmp_path):
+    """Every (query, model) list at the default ``top_k``: the oracle's exact
+    ranked list, scores within 1e-9, the same results from a saved and reloaded
+    index, and ``score`` equal under ``==`` to the first ten results' scores.
+    The oracle rounds as the engine does, so its order is the ranked order:
+    rounded score, then ascending doc id."""
     _, _, index, queries = _load(data)
     save_index(index, tmp_path / "ix")
     loaded = load_index(tmp_path / "ix")
@@ -139,13 +140,35 @@ def test_ranked_order_matches_oracle_at_scale(tmp_path):
     for record, query in zip(data["queries"], queries):
         for model in ALL_MODELS:
             results = _search_or_empty(index, query, model)
-            expected = sorted(
-                oracle.search(record, model.value), key=lambda p: (-round(p[1], 12), p[0])
-            )
+            expected = oracle.search(record, model.value)
             assert [r.doc_id for r in results] == [doc_id for doc_id, _ in expected]
             for result, (_, expected_score) in zip(results, expected):
                 assert result.score == pytest.approx(expected_score, abs=1e-9)
             assert _search_or_empty(loaded, query, model) == results
+            for doc_id, got in results[:10]:
+                assert score(index, query, doc_id, model) == got
+
+
+def test_ranked_order_matches_oracle_at_scale(tmp_path):
+    """At 200 documents float rounding splits exact ties; the ranked order
+    must still follow the rounded oracle scores, then ascending doc id, and
+    a saved and reloaded index must rank identically."""
+    _check_against_oracle(corpusgen.synthetic_dataset(seed=7, n_docs=200, n_queries=12), tmp_path)
+
+
+def test_oracle_agrees_at_2k_documents(tmp_path):
+    """Ten times the documents of the check above, with lists of up to 982
+    results at seed 7: every list must still match the oracle's."""
+    _check_against_oracle(corpusgen.synthetic_dataset(seed=7, n_docs=2000, n_queries=10), tmp_path)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("seed", [5, 11])
+def test_oracle_agrees_at_10k_documents(tmp_path, seed):
+    """The 2k check at 10,000 documents; run with ``-m scale``."""
+    _check_against_oracle(
+        corpusgen.synthetic_dataset(seed=seed, n_docs=10_000, n_queries=10), tmp_path
+    )
 
 
 def test_criterion_3_reduction_identities():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+from array import array
 
 import pytest
 
@@ -14,6 +15,7 @@ from ontovsm.corpus import ingest_document
 from ontovsm.errors import CorpusError, IndexFormatError
 from ontovsm.index import (
     STORED_SPACES,
+    TYPECODE,
     InvertedIndex,
     build_index,
     dump_index,
@@ -98,6 +100,39 @@ class TestBuild:
         # The constructor numbers the documents, so a direct construction is checked too.
         with pytest.raises(CorpusError, match=message):
             InvertedIndex(doc_ids, {s: {} for s in STORED_SPACES}, kb, taxonomy)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([1, 1, 0, 1], "do not ascend: 0 follows 1"),
+            ([0, 1, 0, 2], "lists a document twice: doc number 0"),
+            ([0, 0], "term frequency 0"),
+            ([0, 1, 1], "lists of one length"),
+            ([], "lists no documents"),
+            ([5, 1], "unknown document number 5"),
+        ],
+    )
+    def test_constructor_refuses_lists_a_load_would_refuse(self, kb, taxonomy, pairs, message):
+        # Each list saved, and then failed to load, before the constructor checked it.
+        postings = {s: {} for s in STORED_SPACES}
+        postings["KW"][keyword_term("growing")] = array(TYPECODE, pairs)
+        with pytest.raises(CorpusError, match=rf"KW:growing in space KW .*{message}"):
+            InvertedIndex(["d1", "d2"], postings, kb, taxonomy)
+
+    def test_constructor_rebuilds_a_direct_callers_lists(self, kb, taxonomy, tmp_path):
+        given = array(TYPECODE, [0, 2, 1, 1])
+        postings = {s: {} for s in STORED_SPACES}
+        postings["KW"][keyword_term("growing")] = given
+        postings["KW_FULL"][keyword_term("growing")] = array(TYPECODE, [0, 2, 1, 1])
+        index = InvertedIndex(["d1", "d2"], postings, kb, taxonomy)
+        held = index.posting_list(keyword_term("growing"), "KW")
+        assert held == given and held is not given
+        assert index.posting_list(keyword_term("growing"), "KW_FULL") is held
+        save_index(index, tmp_path / "ix")
+        assert load_index(tmp_path / "ix").postings(keyword_term("growing"), "KW") == {
+            "d1": 2,
+            "d2": 1,
+        }
 
     def test_documents_numbered_by_doc_id(self, kb, taxonomy):
         ids = ["d9", "d10", "d2"]
