@@ -19,7 +19,8 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from functools import partial
-from itertools import pairwise
+from itertools import accumulate, pairwise
+from operator import sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -41,7 +42,7 @@ from .termspace import TERM_SPACES, Term, document_terms, format_term, keyword_t
 STORED_SPACES = ("N", "C", "NC", "I", "KW", "KW_FULL")
 
 INDEX_FORMAT = "ontovsm-index"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 # The files whose size and sha256 digest stats.json records.
 INDEX_FILES = ("postings.jsonl", "taxonomy.jsonl", "kb.jsonl")
 
@@ -119,7 +120,7 @@ class InvertedIndex:
                 for term, plist in sp.items():
                     try:
                         sp[term] = _posting_array(
-                            list(plist[::2]), list(plist[1::2]), len(self.ids)
+                            _gaps(plist[::2]), list(plist[1::2]), len(self.ids)
                         )
                     except ValueError as exc:
                         raise CorpusError(
@@ -207,6 +208,17 @@ def _interleaved(docs: list[int], tfs: Iterable[int]) -> PostingList:
     return plist
 
 
+def _gaps(docs: Iterable) -> list:
+    """Doc numbers as a saved row's ``docs`` holds them: the first, then each
+    one's step from the one before. An item that is not an int, or that follows
+    one, stays as it is, for ``_posting_array`` to name."""
+    docs = list(docs)
+    return [
+        doc - previous if type(doc) is type(previous) is int else doc
+        for previous, doc in zip([0, *docs], docs)
+    ]
+
+
 def _pairs(plist: PostingList) -> Iterator[tuple[int, int]]:
     """A posting list's (doc number, tf) pairs."""
     pairs = iter(plist)
@@ -262,11 +274,13 @@ def _posting_rows(index: InvertedIndex) -> Iterator[dict]:
         for term, plist in index._postings[space].items():
             term_pair = [term.primary, term.secondary]
             docs, tfs = plist[::2].tolist(), plist[1::2].tolist()
-            yield {"space": space, "term": term_pair, "docs": docs, "tfs": tfs}
+            gaps = list(map(sub, docs, [0, *docs]))  # as _gaps makes them, for ints only
+            yield {"space": space, "term": term_pair, "docs": gaps, "tfs": tfs}
 
 
 def _digest(path: Path) -> dict:
-    """The size and sha256 digest that stats.json records for a file."""
+    """The size and sha256 digest that stats.json records for a file, as
+    ``write_jsonl`` returns them."""
     data = path.read_bytes()
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
@@ -274,14 +288,18 @@ def _digest(path: Path) -> dict:
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write an index directory that ``load_index`` restores exactly.
 
-    Each posting row holds the term's doc numbers, ascending, and their tfs,
-    in two lists of one length."""
+    Each posting row holds the gaps between the term's ascending doc numbers,
+    the first counted from 0, and their tfs, in two lists of one length; the
+    rows are written without spaces. The files are not read back: their sizes
+    and digests come from the bytes written."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
-    write_jsonl(path / "postings.jsonl", _posting_rows(index))
-    write_jsonl(path / "taxonomy.jsonl", taxonomy_records(index.taxonomy))
-    write_jsonl(path / "kb.jsonl", knowledge_base_records(index.kb))
+    files = {
+        "postings.jsonl": write_jsonl(path / "postings.jsonl", _posting_rows(index), compact=True),
+        "taxonomy.jsonl": write_jsonl(path / "taxonomy.jsonl", taxonomy_records(index.taxonomy)),
+        "kb.jsonl": write_jsonl(path / "kb.jsonl", knowledge_base_records(index.kb)),
+    }
     stats = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
@@ -290,7 +308,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "stopwords": sorted(index.stopwords),
         "terms": {space: index.term_count(space) for space in STORED_SPACES},
         "postings": {space: index.posting_count(space) for space in STORED_SPACES},
-        "files": {name: _digest(path / name) for name in INDEX_FILES},
+        "files": files,
     }
     with open(path / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, ensure_ascii=False, indent=2)
@@ -320,24 +338,32 @@ def _check_files(path: Path, files) -> None:
             )
 
 
-def _posting_array(docs, tfs, n_docs: int) -> PostingList:
-    """One saved row's doc and tf columns, interleaved into an array of exactly
-    their size. Raises ``ValueError`` naming the first fault: each doc number
-    must be an int below ``n_docs``, above the one before it, and each tf an
-    int from 1 to ``MAX_TF``."""
-    if not (type(docs) is list and type(tfs) is list and len(docs) == len(tfs)):
+def _unknown_document(doc, n_docs: int) -> ValueError:
+    return ValueError(
+        f"names unknown document number {doc!r}; the index numbers its {n_docs} documents from 0"
+    )
+
+
+def _posting_array(gaps, tfs, n_docs: int) -> PostingList:
+    """One saved row's docs column, which holds gaps as ``_gaps`` makes them, and
+    its tfs column, as an array of (doc number, tf) pairs, interleaved, of exactly
+    their size. Raises ``ValueError`` naming the first fault: each gap must be an
+    int, each doc number the gaps sum to below ``n_docs`` and above the one
+    before it, and each tf an int from 1 to ``MAX_TF``."""
+    if not (type(gaps) is list and type(tfs) is list and len(gaps) == len(tfs)):
         raise ValueError("does not hold docs and tfs lists of one length")
-    if not docs:
+    if not gaps:
         raise ValueError("lists no documents")
+    doc = 0
     previous = -1
-    for doc, tf in zip(docs, tfs):
-        # bool is an int subclass, so JSON true would pass isinstance.
-        if type(doc) is not int or not previous < doc < n_docs:
-            if type(doc) is not int or not 0 <= doc < n_docs:
-                raise ValueError(
-                    f"names unknown document number {doc!r}; "
-                    f"the index numbers its {n_docs} documents from 0"
-                )
+    for gap, tf in zip(gaps, tfs):
+        # bool is an int subclass, so JSON true would pass isinstance, and sum as 1.
+        if type(gap) is not int:
+            raise _unknown_document(gap, n_docs)
+        doc += gap
+        if not previous < doc < n_docs:
+            if not 0 <= doc < n_docs:
+                raise _unknown_document(doc, n_docs)
             if doc == previous:
                 raise ValueError(f"lists a document twice: doc number {doc}")
             raise ValueError(f"has doc numbers that do not ascend: {doc} follows {previous}")
@@ -347,7 +373,7 @@ def _posting_array(docs, tfs, n_docs: int) -> PostingList:
                 f"not an integer from 1 to {MAX_TF}"
             )
         previous = doc
-    return _interleaved(docs, tfs)
+    return _interleaved(list(accumulate(gaps)), tfs)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
@@ -392,7 +418,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     postings: dict[str, dict[Term, PostingList]] = {s: {} for s in STORED_SPACES}
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
         try:
-            space, term, docs, tfs = row["space"], row["term"], row["docs"], row["tfs"]
+            space, term, gaps, tfs = row["space"], row["term"], row["docs"], row["tfs"]
         except KeyError:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
         if not (
@@ -407,7 +433,7 @@ def load_index(path: str | Path) -> InvertedIndex:
         # A KW_FULL row holds a KW term.
         key = Term("KW" if space == "KW_FULL" else space, *term)
         try:
-            plist = _posting_array(docs, tfs, len(ids))
+            plist = _posting_array(gaps, tfs, len(ids))
         except ValueError as exc:
             raise IndexFormatError(
                 f"{path}: posting row for {format_term(key)} in space {space} {exc}"

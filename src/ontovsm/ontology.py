@@ -5,6 +5,7 @@ are safe for unrestricted concurrent reads.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -192,11 +193,20 @@ def read_jsonl(path: str | Path, error_cls: type[Exception]) -> Iterator[dict]:
         yield rec
 
 
-def write_jsonl(path: str | Path, rows: Iterable[Mapping]) -> None:
-    """Write one JSON object per line, non-ASCII text unescaped, as ``read_jsonl`` reads."""
-    with open(path, "w", encoding="utf-8") as fh:
+def write_jsonl(path: str | Path, rows: Iterable[Mapping], *, compact: bool = False) -> dict:
+    """Write one JSON object per line, non-ASCII text unescaped, as ``read_jsonl`` reads;
+    ``compact`` drops the space after each comma and colon. Returns the file's size
+    and sha256 digest, taken from the bytes as they are written."""
+    separators = (",", ":") if compact else None
+    digest = hashlib.sha256()
+    size = 0
+    with open(path, "wb") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            line = (json.dumps(row, ensure_ascii=False, separators=separators) + "\n").encode()
+            fh.write(line)
+            digest.update(line)
+            size += len(line)
+    return {"bytes": size, "sha256": digest.hexdigest()}
 
 
 def read_taxonomy_file(path: str | Path) -> ClassTaxonomy:

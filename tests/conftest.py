@@ -1,11 +1,13 @@
 """Shared fixtures: loaded ontologies, ingested corpora, built indexes."""
 import hashlib
 import json
+from itertools import accumulate, pairwise
 
 import pytest
 from hypothesis import settings
 
 import corpusgen
+from ontovsm import ontology
 from ontovsm.corpus import ingest_document, query_from_record
 from ontovsm.index import build_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
@@ -71,8 +73,8 @@ def _posting_rows(index_dir):
 
 
 def _write_posting_rows(index_dir, rows, *, stamp=True):
-    path = index_dir / "postings.jsonl"
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    # In the form save_index writes, so an edit that keeps the size keeps it here.
+    ontology.write_jsonl(index_dir / "postings.jsonl", rows, compact=True)
     if stamp:
         restamp(index_dir, "postings.jsonl")
 
@@ -95,18 +97,35 @@ def _set_first_tf(tf):
     return _rewrite_posting_row(change)
 
 
+# A saved row's docs hold the gaps between its doc numbers: the first doc
+# number, then each one's step from the one before.
+
+
 def _repeat_first_doc_in_row(row):
-    row["docs"].insert(1, row["docs"][0])
+    # A gap of 0 names the document before it again.
+    row["docs"].insert(1, 0)
     row["tfs"].insert(1, row["tfs"][0])
 
 
 def _reverse_row(row):
-    row["docs"].reverse()
+    """List the row's documents from the last to the first: every gap after
+    the first is negative, and every doc number the gaps sum to is the row's own."""
+    docs = list(accumulate(row["docs"]))[::-1]
+    row["docs"] = [docs[0], *(doc - previous for previous, doc in pairwise(docs))]
     row["tfs"].reverse()
+
+
+def _zero_last_gap(row):
+    row["docs"][-1] = 0
 
 
 def _first_doc_true(row):
     row["docs"][0] = True
+
+
+def _second_gap_true(row):
+    # Summed as the int 1, it could name a real document.
+    row["docs"][1] = True
 
 
 def _drop_last_tf(row):
@@ -122,12 +141,19 @@ def _bump_first_tf(row):
     row["tfs"][0] += 5
 
 
-def _append_doc_count(index_dir):
-    """Append a posting of doc number doc_count, one past the last document."""
-    doc_count = json.loads((index_dir / "stats.json").read_text(encoding="utf-8"))["doc_count"]
-    _rewrite_posting_row(lambda row: (row["docs"].append(doc_count), row["tfs"].append(1)))(
-        index_dir
-    )
+def _append_gap(gap):
+    """Append a posting with tf 1 and the gap ``gap(doc_count, the row's last doc number)``."""
+
+    def corrupt(index_dir):
+        stats = json.loads((index_dir / "stats.json").read_text(encoding="utf-8"))
+        _rewrite_posting_row(
+            lambda row: (
+                row["docs"].append(gap(stats["doc_count"], sum(row["docs"]))),
+                row["tfs"].append(1),
+            )
+        )(index_dir)
+
+    return corrupt
 
 
 def _repeat_first_row(index_dir):
@@ -164,7 +190,7 @@ def _write_version_2_index(index_dir):
         {
             "space": row["space"],
             "term": row["term"],
-            "postings": [[ids[doc], tf] for doc, tf in zip(row["docs"], row["tfs"])],
+            "postings": [[ids[doc], tf] for doc, tf in zip(accumulate(row["docs"]), row["tfs"])],
         }
         for row in _posting_rows(index_dir)
     ]
@@ -172,6 +198,22 @@ def _write_version_2_index(index_dir):
     del stats["postings"], stats["files"]
     stats["version"] = 2
     (index_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+
+
+def write_version_3_index(index_dir):
+    """Rewrite the saved index in the retired version-3 layout, as a version-3
+    save wrote it: each row's docs held its doc numbers themselves, and rows
+    were written with a space after each comma and colon."""
+    rows = _posting_rows(index_dir)
+    for row in rows:
+        row["docs"] = list(accumulate(row["docs"]))
+    postings = ontology.write_jsonl(index_dir / "postings.jsonl", rows)
+    path = index_dir / "stats.json"
+    stats = json.loads(path.read_text(encoding="utf-8"))
+    stats["version"] = 3
+    stats["files"]["postings.jsonl"] = postings
+    path.write_text(json.dumps(stats, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    return index_dir
 
 
 def _rewrite_stats(change):
@@ -217,11 +259,30 @@ INDEX_CORRUPTIONS = [
         "lists a document twice",
         id="doc-twice-in-row",
     ),
+    pytest.param(
+        _rewrite_posting_row(_zero_last_gap), "lists a document twice", id="zero-gap-mid-row"
+    ),
     pytest.param(_rewrite_posting_row(_reverse_row), "do not ascend", id="docs-not-ascending"),
+    pytest.param(_append_gap(lambda doc_count, last: -1), "do not ascend", id="negative-gap"),
     pytest.param(
         _rewrite_posting_row(_first_doc_true), "unknown document number True", id="doc-number-true"
     ),
-    pytest.param(_append_doc_count, "unknown document number", id="doc-number-past-doc-count"),
+    pytest.param(
+        _rewrite_posting_row(_second_gap_true),
+        "unknown document number True",
+        id="gap-true-mid-row",
+    ),
+    pytest.param(
+        _append_gap(lambda doc_count, last: doc_count),
+        "unknown document number",
+        id="doc-number-past-doc-count",
+    ),
+    # Every index these rows corrupt holds three documents.
+    pytest.param(
+        _append_gap(lambda doc_count, last: doc_count - last),
+        "unknown document number 3; the index numbers its 3 documents",
+        id="gaps-sum-to-doc-count",
+    ),
     pytest.param(
         _rewrite_posting_row(_drop_last_tf),
         "docs and tfs lists of one length",
@@ -295,6 +356,7 @@ INDEX_CORRUPTIONS = [
         _rewrite_stats(lambda stats: stats.pop("files")), "lacks a files map", id="no-files-map"
     ),
     pytest.param(_write_version_2_index, "unsupported index version 2", id="version-2-directory"),
+    pytest.param(write_version_3_index, "unsupported index version 3", id="version-3-directory"),
 ]
 
 

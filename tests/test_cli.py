@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import corpusgen
-from conftest import INDEX_CORRUPTIONS, write_jsonl, write_version_1_index
+from conftest import INDEX_CORRUPTIONS, write_jsonl, write_version_1_index, write_version_3_index
 from ontovsm.cli import main
 from ontovsm.retrieval import ALL_MODELS
 
@@ -182,6 +182,17 @@ class TestSearch:
             "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
         ])
         assert_one_error_line(rc, capsys, "unsupported index version 1")
+
+    def test_version_3_index_rejected(self, data_dir, capsys):
+        # Version 3 saved each row's doc numbers themselves; rebuild it.
+        index_dir = write_version_3_index(build(data_dir))
+        capsys.readouterr()
+        rc = main([
+            "search", "--index", str(index_dir),
+            "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
+        ])
+        assert_one_error_line(rc, capsys, "unsupported index version 3")
+        assert not (data_dir / "runs").exists()
 
     def test_bad_alpha_fails_before_index_io(self, data_dir, capsys):
         rc = main([

@@ -29,9 +29,9 @@ SHARED = {
     "ix/kb.jsonl":
         "e24c55ca4d75884fd683cd4da7ba718dfcba67872e806f42d17719f2c6772903",
     "ix/postings.jsonl":
-        "8c7c559c7ed4f14309ce3dace1abeb2c7cadcf42c7f2946215b1062a15e39f85",
+        "1811c9956b8c19a9b423874d39199fcf00d5d6abd2f2522ce09a84d754275c3a",
     "ix/stats.json":
-        "23800d66a329c0fea5032c59e26149bc50e773baf638a4cb89ff034bcce40e21",
+        "23484a65d46e3775960c46ceb3f3db22afc3ef6aaecd4b3e5e243bf3fc081d94",
     "ix/taxonomy.jsonl":
         "455aed133866935087e5175440e55db1ae7274fdd39e3d4e16b9dfefc117b435",
     "out/runs/kw-and-ne-n.run":

@@ -1,4 +1,5 @@
 """Index construction, statistics, persistence, and dumping."""
+import builtins
 import dataclasses
 import hashlib
 import io
@@ -6,6 +7,7 @@ import json
 import math
 import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,14 @@ class TestBuild:
         postings = {s: {} for s in STORED_SPACES}
         postings["KW"][keyword_term("growing")] = array(TYPECODE, pairs)
         with pytest.raises(CorpusError, match=rf"KW:growing in space KW .*{message}"):
+            InvertedIndex(["d1", "d2"], postings, kb, taxonomy)
+
+    @pytest.mark.parametrize("item", [True, "x", 1.0])
+    def test_constructor_refuses_a_doc_number_that_is_not_an_int(self, kb, taxonomy, item):
+        # A plain list can hold what an array cannot; True must not pass as doc number 1.
+        postings = {s: {} for s in STORED_SPACES}
+        postings["KW"][keyword_term("growing")] = [0, 1, item, 1]
+        with pytest.raises(CorpusError, match=f"unknown document number {item!r};"):
             InvertedIndex(["d1", "d2"], postings, kb, taxonomy)
 
     def test_constructor_rebuilds_a_direct_callers_lists(self, kb, taxonomy, tmp_path):
@@ -294,7 +304,7 @@ class TestPersistence:
     def test_stats_describe_the_saved_files(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
         stats = json.loads((tmp_path / "ix" / "stats.json").read_text())
-        assert stats["version"] == 3
+        assert stats["version"] == 4
         assert stats["terms"] == {s: city_index.term_count(s) for s in STORED_SPACES}
         assert stats["postings"] == {
             s: sum(len(city_index.postings(t, s)) for t in city_index.terms(s))
@@ -319,9 +329,10 @@ class TestPersistence:
         assert list(index.posting_list(growing, "KW")) == [1, 1, 2, 1]
         save_index(index, tmp_path / "a")
         lines = (tmp_path / "a" / "postings.jsonl").read_text().splitlines()
+        # Doc numbers 1 and 2, saved as the first and its gap, without spaces.
+        assert '{"space":"KW","term":["growing",""],"docs":[1,1],"tfs":[1,1]}' in lines
         rows = [json.loads(line) for line in lines]
-        assert {"space": "KW", "term": ["growing", ""], "docs": [1, 2], "tfs": [1, 1]} in rows
-        assert all(row["docs"] == sorted(row["docs"]) for row in rows)
+        assert all(gap > 0 for row in rows for gap in row["docs"][1:])
         loaded = load_index(tmp_path / "a")
         assert list(loaded.posting_list(growing, "KW")) == [1, 1, 2, 1]
         assert loaded.norms == index.norms
@@ -343,6 +354,30 @@ class TestPersistence:
                 assert built == saved, (space, term)
                 assert sys.getsizeof(built) == sys.getsizeof(saved), (space, term)
         assert index.norms == loaded.norms
+
+    def test_save_reads_none_of_its_files(self, tmp_path, city_index, monkeypatch):
+        # stats.json's sizes and digests come from the bytes as they are written.
+        opened = []
+        real_open, real_path_open = io.open, Path.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            opened.append((Path(file).name, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        def recording_path_open(path, mode="r", *args, **kwargs):
+            # Python 3.10's pathlib holds its own reference to io.open.
+            opened.append((path.name, mode))
+            return real_path_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(Path, "open", recording_path_open)
+        save_index(city_index, tmp_path / "ix")
+        monkeypatch.undo()
+        assert sorted(name for name, _ in opened) == [
+            "kb.jsonl", "postings.jsonl", "stats.json", "taxonomy.jsonl"
+        ]
+        assert all(set(mode).isdisjoint("r+") for _, mode in opened), opened
 
     def test_save_load_save_byte_identical(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "a")

@@ -4,7 +4,8 @@ expansion, ingest's single token pass against tokenize and the per-token span
 rule, query terms nested in document terms, the filter-set laws, the score
 range, search against a per-use reference scorer, filter, search and score
 raising on the same queries and agreeing on scores, save/load/search identity,
-and loaders and subcommands fed fuzzed input files."""
+saved doc-number gaps loading back as the lists saved, and loaders and
+subcommands fed fuzzed input files."""
 import contextlib
 import copy
 import dataclasses
@@ -14,12 +15,14 @@ import json
 import math
 import operator
 import tempfile
+from array import array
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
@@ -46,7 +49,16 @@ from ontovsm.evaluation import (
     load_qrels,
     load_run_file,
 )
-from ontovsm.index import build_index, idf_weight, load_index, save_index
+from ontovsm.index import (
+    MAX_TF,
+    STORED_SPACES,
+    TYPECODE,
+    InvertedIndex,
+    build_index,
+    idf_weight,
+    load_index,
+    save_index,
+)
 from ontovsm.ontology import load_knowledge_base, load_taxonomy, read_kb_file, read_taxonomy_file
 from ontovsm.retrieval import (
     ALL_MODELS,
@@ -59,6 +71,7 @@ from ontovsm.retrieval import (
 from ontovsm.termspace import (
     ENTITY_SPACES,
     TERM_SPACES,
+    Term,
     document_terms,
     expand_annotation,
     keyword_term,
@@ -467,6 +480,48 @@ def test_save_load_search_identical(collection, config):
         save_index(index, tmp)
         reloaded = load_index(tmp)
     assert all_runs(reloaded, query_list, config) == all_runs(index, query_list, config)
+
+
+@st.composite
+def ascending_lists(draw):
+    """A collection size and up to one posting list per stored space, each drawn
+    as a first doc number and the gaps after it, so that a first doc 0, gaps of 1
+    and a list that ends on the last document are all common."""
+    drawn = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.lists(st.integers(1, 3), max_size=6)),
+            min_size=1,
+            max_size=len(STORED_SPACES),
+        )
+    )
+    lists = [list(accumulate([first, *gaps])) for first, gaps in drawn]
+    n_docs = max(docs[-1] for docs in lists) + 1 + draw(st.integers(0, 1))
+    tfs = st.integers(1, MAX_TF)
+    return n_docs, [
+        (docs, draw(st.lists(tfs, min_size=len(docs), max_size=len(docs)))) for docs in lists
+    ]
+
+
+@given(ascending_lists())
+@example((3, [([0, 1, 2], [1, MAX_TF, 1])]))
+def test_saved_gaps_load_as_the_lists_saved(case):
+    n_docs, lists = case
+    postings = {space: {} for space in STORED_SPACES}
+    for space, (docs, tfs) in zip(STORED_SPACES, lists):
+        term = Term("KW" if space == "KW_FULL" else space, "t", "")
+        postings[space][term] = array(TYPECODE, [n for pair in zip(docs, tfs) for n in pair])
+    index = InvertedIndex([f"d{n:02d}" for n in range(n_docs)], postings, KB, TAXONOMY)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, tmp)
+        rows = (Path(tmp) / "postings.jsonl").read_text(encoding="utf-8").splitlines()
+        loaded = load_index(tmp)
+    saved = [json.loads(row) for row in rows]
+    assert [(list(accumulate(row["docs"])), row["tfs"]) for row in saved] == lists
+    for space in STORED_SPACES:
+        assert loaded.terms(space) == index.terms(space)
+        for term in index.terms(space):
+            assert loaded.posting_list(term, space) == index.posting_list(term, space)
+    assert loaded.norms == index.norms
 
 
 # Fuzzed input files. Each starts as a valid file of a small dataset. Its

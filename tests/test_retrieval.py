@@ -229,9 +229,9 @@ class TestScore:
             with pytest.raises(KeyError):
                 score(index, q, missing, ModelKind.KW)
 
-    def test_narrowed_to_the_pair_of_its_document(self, kb, taxonomy):
-        # "x"'s list is (0, 2), (2, 1): a search for doc number 2 meets the
-        # tf 2 of document 0 first, and must not read it as a doc number.
+    def test_pair_walk_reads_no_tf_as_a_doc_number(self, kb, taxonomy):
+        # "x"'s list is (0, 2), (2, 1): _scores walks it pair by pair, so the
+        # tf 2 of document 0 must not be read as doc number 2.
         records = [
             {"doc_id": "d0", "text": "x x z", "annotations": []},
             {"doc_id": "d1", "text": "y", "annotations": []},
