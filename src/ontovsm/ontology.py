@@ -197,12 +197,15 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping], *, compact: bool = Fa
     """Write one JSON object per line, non-ASCII text unescaped, as ``read_jsonl`` reads;
     ``compact`` drops the space after each comma and colon. Returns the file's size
     and sha256 digest, taken from the bytes as they are written."""
-    separators = (",", ":") if compact else None
+    # json.dumps would build a new encoder for each row, as these are not its defaults.
+    encode = json.JSONEncoder(
+        ensure_ascii=False, separators=(",", ":") if compact else None
+    ).encode
     digest = hashlib.sha256()
     size = 0
     with open(path, "wb") as fh:
         for row in rows:
-            line = (json.dumps(row, ensure_ascii=False, separators=separators) + "\n").encode()
+            line = (encode(row) + "\n").encode()
             fh.write(line)
             digest.update(line)
             size += len(line)

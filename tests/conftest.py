@@ -1,6 +1,7 @@
 """Shared fixtures: loaded ontologies, ingested corpora, built indexes."""
 import hashlib
 import json
+from array import array
 from itertools import accumulate, pairwise
 
 import pytest
@@ -23,6 +24,11 @@ def write_jsonl(path, records):
         for record in records:
             fh.write(json.dumps(record) + "\n")
     return path
+
+
+def narrowest_typecode(plist):
+    """The narrowest of 'B', 'H' and 'I' whose items hold every number of the list."""
+    return next(t for t in "BHI" if max(plist) < 2 ** (8 * array(t).itemsize))
 
 
 def write_version_1_index(path):

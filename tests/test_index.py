@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import corpusgen
-from conftest import INDEX_CORRUPTIONS, restamp, write_version_1_index
+from conftest import INDEX_CORRUPTIONS, narrowest_typecode, restamp, write_version_1_index
+from ontovsm.cli import main
 from ontovsm.corpus import ingest_document
 from ontovsm.errors import CorpusError, IndexFormatError
 from ontovsm.index import (
+    MAX_TF,
     STORED_SPACES,
     TYPECODE,
     InvertedIndex,
@@ -352,8 +354,59 @@ class TestPersistence:
             for term in index.terms(space):
                 built, saved = index.posting_list(term, space), loaded.posting_list(term, space)
                 assert built == saved, (space, term)
+                assert built.typecode == saved.typecode, (space, term)
                 assert sys.getsizeof(built) == sys.getsizeof(saved), (space, term)
         assert index.norms == loaded.norms
+
+    def test_built_and_loaded_lists_take_the_narrowest_typecode(self, tmp_path, kb, taxonomy):
+        # 257 documents, so "growing" reaches doc number 256; "beta" has a tf
+        # of 256, "alpha" one of 255 and "gamma" doc number 255 alone.
+        records = [{"doc_id": f"d{n:03d}", "text": "growing"} for n in range(257)]
+        records[0]["text"] += " alpha" * 255
+        records[1]["text"] += " beta" * 256
+        records[255]["text"] += " gamma"
+        index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+        save_index(index, tmp_path / "ix")
+        loaded = load_index(tmp_path / "ix")
+        typecodes = {"growing": "H", "alpha": "B", "beta": "H", "gamma": "B"}
+        for held in (index, loaded):
+            for space in STORED_SPACES:
+                for term in held.terms(space):
+                    plist = held.posting_list(term, space)
+                    assert plist.typecode == narrowest_typecode(plist), (space, term)
+            for token, typecode in typecodes.items():
+                assert held.posting_list(keyword_term(token), "KW").typecode == typecode
+        assert index.postings(keyword_term("beta"), "KW") == {"d001": 256}
+
+    @pytest.mark.parametrize(
+        "doc, tf, typecode",
+        [
+            (0, 255, "B"),
+            (0, 256, "H"),
+            (255, 1, "B"),
+            (256, 1, "H"),
+            (0, 65535, "H"),
+            (0, 65536, "I"),
+            (256, MAX_TF, "I"),
+        ],
+    )
+    def test_rows_at_typecode_boundaries_round_trip(
+        self, tmp_path, kb, taxonomy, capsys, doc, tf, typecode
+    ):
+        postings = {s: {} for s in STORED_SPACES}
+        postings["KW"][keyword_term("growing")] = array(TYPECODE, [doc, tf])
+        index = InvertedIndex([f"d{n:03d}" for n in range(257)], postings, kb, taxonomy)
+        save_index(index, tmp_path / "ix")
+        loaded = load_index(tmp_path / "ix")
+        for held in (index, loaded):
+            plist = held.posting_list(keyword_term("growing"), "KW")
+            assert (plist.typecode, list(plist)) == (typecode, [doc, tf])
+        assert loaded.norms == index.norms
+        built = io.StringIO()
+        dump_index(index, built)
+        assert f"KW:growing  df=1  d{doc:03d}:{tf}\n" in built.getvalue()
+        assert main(["dump-index", "--index", str(tmp_path / "ix")]) == 0
+        assert capsys.readouterr().out == built.getvalue()
 
     def test_save_reads_none_of_its_files(self, tmp_path, city_index, monkeypatch):
         # stats.json's sizes and digests come from the bytes as they are written.

@@ -1,4 +1,6 @@
 """Taxonomy ancestry and knowledge base lookups."""
+import hashlib
+import json
 import os
 import random
 import resource
@@ -243,6 +245,31 @@ class TestFileLoading:
         assert path.read_text(encoding="utf-8") == (
             '{"id": "e1", "names": ["Straße"]}\n{"id": "e2", "names": ["Hồ Chí Minh"]}\n'
         )
+
+    @pytest.mark.parametrize("compact, separators", [(False, None), (True, (",", ":"))])
+    def test_written_lines_are_json_dumps_lines(self, tmp_path, monkeypatch, compact, separators):
+        rows = [
+            {"id": "e1", "names": ["Straße", "Hồ Chí Minh"], "n": [0, 7, 65536]},
+            {"term": ["日本", ""], "score": 0.1, "nested": {"a": None, "b": True}},
+            {"quote": 'say "hi"\n', "emoji": "\U0001f600"},
+        ]
+        expected = "".join(
+            json.dumps(row, ensure_ascii=False, separators=separators) + "\n" for row in rows
+        ).encode()
+        encoders = []
+        init = json.JSONEncoder.__init__
+        monkeypatch.setattr(
+            json.JSONEncoder,
+            "__init__",
+            lambda self, *args, **kwargs: encoders.append(self) or init(self, *args, **kwargs),
+        )
+        path = tmp_path / "rows.jsonl"
+        written = ontology.write_jsonl(path, rows, compact=compact)
+        monkeypatch.undo()
+        assert path.read_bytes() == expected
+        assert written == {"bytes": len(expected), "sha256": hashlib.sha256(expected).hexdigest()}
+        # One encoder serves the whole file.
+        assert len(encoders) == 1
 
     def test_record_writers_invert_the_loaders(self):
         # PortCity has two parents; the last entity's names are not ASCII.
