@@ -233,7 +233,7 @@ def cmd_verify_index(args: argparse.Namespace) -> int:
         f"{space}={index.term_count(space)}/{index.posting_count(space)}"
         for space in STORED_SPACES
     )
-    print(f"verified {index.n_docs} docs; terms/postings: {counts}")
+    print(f"verified {index.n_docs} docs; terms/postings: {counts}; lists: {index.list_count()}")
     return 0
 
 

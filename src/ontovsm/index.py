@@ -42,7 +42,7 @@ from .termspace import TERM_SPACES, Term, document_terms, format_term, keyword_t
 STORED_SPACES = ("N", "C", "NC", "I", "KW", "KW_FULL")
 
 INDEX_FORMAT = "ontovsm-index"
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 # The files whose size and sha256 digest stats.json records.
 INDEX_FILES = ("postings.jsonl", "taxonomy.jsonl", "kb.jsonl")
 
@@ -87,8 +87,11 @@ class InvertedIndex:
     typecode is the narrowest of ``'B'``, ``'H'`` and ``'I'`` that holds its
     largest number. ``norms[space]`` is an ``array('d')`` indexed by doc
     number, 0.0 for a document with no term in that space.
-    ``postings`` must hold every stored space. A ``KW_FULL`` list equal to the
-    ``KW`` list of its term is that list.
+    ``postings`` must hold every stored space. A posting list equal to one the
+    index already holds is that list, in any space, as the expansion often
+    gives many terms one list (an entity's aliases, a name's NC pairs up its
+    class chain): for any two lists the index holds, ``a is b`` exactly when
+    ``a == b``.
 
     The constructor checks that each id is plain and listed once, and sorts
     them; it rebuilds each posting list through the checks ``load_index`` makes
@@ -131,10 +134,7 @@ class InvertedIndex:
                         raise CorpusError(
                             f"posting list for {format_term(term)} in space {space} {exc}"
                         ) from None
-        kw, kw_full = self._postings["KW"], self._postings["KW_FULL"]
-        for term, plist in kw_full.items():
-            if kw.get(term) == plist:
-                kw_full[term] = kw[term]  # an existing key: the map does not resize
+        _share_equal_lists(self._postings)
         # Each document's tf.idf vector length per vector space. Squares sum in
         # sorted term order, UNIFIED running on through the partitioned spaces in
         # TERM_SPACES order. A space's sums are rooted into its array as soon as
@@ -175,6 +175,10 @@ class InvertedIndex:
         """The postings stored in the space: one per (term, document) pair."""
         return sum(map(len, self._stored(space).values())) // 2
 
+    def list_count(self) -> int:
+        """The distinct posting lists held, each once whatever terms share it."""
+        return len({id(plist) for sp in self._postings.values() for plist in sp.values()})
+
     def posting_list(self, term: Term, space: str) -> PostingList:
         """The term's (doc number, tf) pairs, interleaved; empty for an unseen term.
         The index's own array, shared by every caller: read it, do not change it."""
@@ -188,6 +192,22 @@ class InvertedIndex:
         """A fresh ``{doc_id: tf}`` map of the term's postings, in ascending doc-id order."""
         ids = self.ids
         return {ids[doc]: tf for doc, tf in _pairs(self.posting_list(term, space))}
+
+
+def _share_equal_lists(postings: dict[str, dict[Term, PostingList]]) -> None:
+    """Give every term whose list equals one held before it that list."""
+    # Keyed by typecode, length and a hash of the bytes, so that the table
+    # holds no bytes copy of any list; a key's lists are told apart by ==.
+    held: dict[tuple, list[PostingList]] = {}
+    for sp in postings.values():
+        for term, plist in sp.items():
+            alike = held.setdefault((plist.typecode, len(plist), hash(plist.tobytes())), [])
+            for kept in alike:
+                if kept == plist:
+                    sp[term] = kept  # an existing key: the map does not resize
+                    break
+            else:
+                alike.append(plist)
 
 
 def _sorted_ids(doc_ids: list[str]) -> list[str]:
@@ -277,13 +297,23 @@ def build_index(
     return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords, ids=ids)
 
 
-def _posting_rows(index: InvertedIndex) -> Iterator[dict]:
+def _shared_lists(index: InvertedIndex) -> dict[int, tuple[PostingList, list[list[str]]]]:
+    """Each distinct posting list the index holds, by id, with the [space,
+    primary, secondary] of every term that has it, in the order of the first."""
+    shared: dict[int, tuple[PostingList, list[list[str]]]] = {}
     for space in STORED_SPACES:
         for term, plist in index._postings[space].items():
-            term_pair = [term.primary, term.secondary]
-            docs, tfs = plist[::2].tolist(), plist[1::2].tolist()
-            gaps = list(map(sub, docs, [0, *docs]))  # as _gaps makes them, for ints only
-            yield {"space": space, "term": term_pair, "docs": gaps, "tfs": tfs}
+            shared.setdefault(id(plist), (plist, []))[1].append(
+                [space, term.primary, term.secondary]
+            )
+    return shared
+
+
+def _posting_rows(shared) -> Iterator[dict]:
+    for plist, terms in shared.values():
+        docs, tfs = plist[::2].tolist(), plist[1::2].tolist()
+        gaps = list(map(sub, docs, [0, *docs]))  # as _gaps makes them, for ints only
+        yield {"terms": terms, "docs": gaps, "tfs": tfs}
 
 
 def _digest(path: Path) -> dict:
@@ -296,15 +326,17 @@ def _digest(path: Path) -> dict:
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write an index directory that ``load_index`` restores exactly.
 
-    Each posting row holds the gaps between the term's ascending doc numbers,
-    the first counted from 0, and their tfs, in two lists of one length; the
-    rows are written without spaces. The files are not read back: their sizes
-    and digests come from the bytes written."""
+    Each distinct posting list is one row, which names every term that has it
+    and holds the gaps between its ascending doc numbers, the first counted
+    from 0, and their tfs, in two lists of one length; the rows are written
+    without spaces. The files are not read back: their sizes and digests come
+    from the bytes written."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
+    shared = _shared_lists(index)
     files = {
-        "postings.jsonl": write_jsonl(path / "postings.jsonl", _posting_rows(index), compact=True),
+        "postings.jsonl": write_jsonl(path / "postings.jsonl", _posting_rows(shared), compact=True),
         "taxonomy.jsonl": write_jsonl(path / "taxonomy.jsonl", taxonomy_records(index.taxonomy)),
         "kb.jsonl": write_jsonl(path / "kb.jsonl", knowledge_base_records(index.kb)),
     }
@@ -316,6 +348,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "stopwords": sorted(index.stopwords),
         "terms": {space: index.term_count(space) for space in STORED_SPACES},
         "postings": {space: index.posting_count(space) for space in STORED_SPACES},
+        "lists": len(shared),
         "files": files,
     }
     with open(path / "stats.json", "w", encoding="utf-8") as fh:
@@ -387,8 +420,9 @@ def _posting_array(gaps, tfs, n_docs: int) -> PostingList:
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index directory that ``save_index`` wrote, or raise
     ``IndexFormatError`` naming what is wrong with it: a file that is missing or
-    differs from the size and digest stats.json records, a malformed row, or
-    counts that do not match the rows."""
+    differs from the size and digest stats.json records, a malformed row, a term
+    named twice, or counts that do not match the rows. Each row's array is built
+    once and held by every term the row names."""
     path = Path(path)
     try:
         stats = parse_json((path / "stats.json").read_text(encoding="utf-8"))
@@ -424,34 +458,49 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise IndexFormatError(f"{path}: stats.json's stopwords is not a list of strings")
 
     postings: dict[str, dict[Term, PostingList]] = {s: {} for s in STORED_SPACES}
+    rows = 0
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
+        rows += 1
         try:
-            space, term, gaps, tfs = row["space"], row["term"], row["docs"], row["tfs"]
+            entries, gaps, tfs = row["terms"], row["docs"], row["tfs"]
         except KeyError:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
-        if not (
-            type(term) is list
-            and len(term) == 2
-            and type(term[0]) is str
-            and type(term[1]) is str
-        ):
+        if type(entries) is not list:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}")
-        if space not in STORED_SPACES:
-            raise IndexFormatError(f"{path}: unknown term space {space!r}")
-        # A KW_FULL row holds a KW term.
-        key = Term("KW" if space == "KW_FULL" else space, *term)
+        if not entries:
+            raise IndexFormatError(f"{path}: a posting row names no term")
+        named = []
+        for entry in entries:
+            if not (type(entry) is list and len(entry) == 3 and all(type(s) is str for s in entry)):
+                raise IndexFormatError(
+                    f"{path}: posting row entry {entry!r} is not three strings: "
+                    "space, term and class"
+                )
+            space = entry[0]
+            if space not in STORED_SPACES:
+                raise IndexFormatError(f"{path}: unknown term space {space!r}")
+            # A KW_FULL entry names a KW term.
+            named.append((space, Term("KW" if space == "KW_FULL" else space, *entry[1:])))
         try:
             plist = _posting_array(gaps, tfs, len(ids))
         except ValueError as exc:
+            space, key = named[0]
             raise IndexFormatError(
                 f"{path}: posting row for {format_term(key)} in space {space} {exc}"
             ) from None
-        if key in postings[space]:
-            raise IndexFormatError(
-                f"{path}: two posting rows for term {format_term(key)} in space {space}"
-            )
-        postings[space][key] = plist
+        # Every term the row names holds its one array.
+        for space, key in named:
+            if key in postings[space]:
+                raise IndexFormatError(
+                    f"{path}: posting rows name term {format_term(key)} in space {space} twice"
+                )
+            postings[space][key] = plist
 
+    if stats.get("lists") != rows:
+        raise IndexFormatError(
+            f"{path}: stats.json's lists count {stats.get('lists')!r} "
+            f"does not match the {rows} posting rows"
+        )
     index = InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords, ids=ids)
     for name, count in (("term", index.term_count), ("posting", index.posting_count)):
         counts = {space: count(space) for space in STORED_SPACES}

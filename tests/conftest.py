@@ -10,7 +10,7 @@ from hypothesis import settings
 import corpusgen
 from ontovsm import ontology
 from ontovsm.corpus import ingest_document, query_from_record
-from ontovsm.index import build_index
+from ontovsm.index import STORED_SPACES, build_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 
 # Shared hosts can run several times slower for a while, so a per-example
@@ -167,6 +167,24 @@ def _repeat_first_row(index_dir):
     _write_posting_rows(index_dir, [*rows, rows[0]])
 
 
+def _name_first_term_in_second_row(index_dir):
+    # The two rows hold different lists, so the term would have two.
+    rows = _posting_rows(index_dir)
+    rows[1]["terms"].append(rows[0]["terms"][0])
+    _write_posting_rows(index_dir, rows)
+
+
+def _rewrite_first_row(change):
+    """Apply ``change`` to the first posting row and to its first term entry."""
+
+    def corrupt(index_dir):
+        rows = _posting_rows(index_dir)
+        change(rows[0], rows[0]["terms"][0])
+        _write_posting_rows(index_dir, rows)
+
+    return corrupt
+
+
 def _edit_one_byte(name):
     """Turn the file's last digit or letter into the next one, keeping its size
     and digest entry. The edited file still parses."""
@@ -187,6 +205,31 @@ def _truncate_postings(index_dir):
     path.write_text(first, encoding="utf-8")
 
 
+def _rows_per_term(index_dir):
+    """The saved posting rows as versions 2 to 4 held them: one row per stored
+    term, by space in STORED_SPACES order, then by term, each naming its space
+    and its [term, class] pair, with the docs as gaps and the tfs."""
+    rows = [
+        {"space": space, "term": [primary, secondary], "docs": row["docs"], "tfs": row["tfs"]}
+        for row in _posting_rows(index_dir)
+        for space, primary, secondary in row["terms"]
+    ]
+    return sorted(rows, key=lambda row: (STORED_SPACES.index(row["space"]), row["term"]))
+
+
+def _write_retired_version(index_dir, version, rows, **write):
+    """Write ``rows`` as postings.jsonl and stamp stats.json with ``version``
+    and the file's size and digest, without the lists count that version 5 added."""
+    postings = ontology.write_jsonl(index_dir / "postings.jsonl", rows, **write)
+    path = index_dir / "stats.json"
+    stats = json.loads(path.read_text(encoding="utf-8"))
+    del stats["lists"]
+    stats["version"] = version
+    stats["files"]["postings.jsonl"] = postings
+    path.write_text(json.dumps(stats, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    return index_dir
+
+
 def _write_version_2_index(index_dir):
     """Rewrite the saved index in the retired version-2 layout: each posting a
     ``[doc_id, tf]`` pair, and no postings counts or file digests in stats.json."""
@@ -198,28 +241,28 @@ def _write_version_2_index(index_dir):
             "term": row["term"],
             "postings": [[ids[doc], tf] for doc, tf in zip(accumulate(row["docs"]), row["tfs"])],
         }
-        for row in _posting_rows(index_dir)
+        for row in _rows_per_term(index_dir)
     ]
     _write_posting_rows(index_dir, rows, stamp=False)
-    del stats["postings"], stats["files"]
+    del stats["postings"], stats["files"], stats["lists"]
     stats["version"] = 2
     (index_dir / "stats.json").write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
 
 
 def write_version_3_index(index_dir):
     """Rewrite the saved index in the retired version-3 layout, as a version-3
-    save wrote it: each row's docs held its doc numbers themselves, and rows
-    were written with a space after each comma and colon."""
-    rows = _posting_rows(index_dir)
+    save wrote it: a row per term, whose docs held its doc numbers themselves,
+    written with a space after each comma and colon."""
+    rows = _rows_per_term(index_dir)
     for row in rows:
         row["docs"] = list(accumulate(row["docs"]))
-    postings = ontology.write_jsonl(index_dir / "postings.jsonl", rows)
-    path = index_dir / "stats.json"
-    stats = json.loads(path.read_text(encoding="utf-8"))
-    stats["version"] = 3
-    stats["files"]["postings.jsonl"] = postings
-    path.write_text(json.dumps(stats, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-    return index_dir
+    return _write_retired_version(index_dir, 3, rows)
+
+
+def write_version_4_index(index_dir):
+    """Rewrite the saved index in the retired version-4 layout, as a version-4
+    save wrote it: a row per term, whose docs held gaps, written without spaces."""
+    return _write_retired_version(index_dir, 4, _rows_per_term(index_dir), compact=True)
 
 
 def _rewrite_stats(change):
@@ -259,7 +302,30 @@ def _write_non_utf8_stats(index_dir):
 # digest unless the edit stamps it afresh; the edits that stamp it test the
 # check that would catch them if the digest matched.
 INDEX_CORRUPTIONS = [
-    pytest.param(_repeat_first_row, "two posting rows", id="term-in-two-rows"),
+    pytest.param(_repeat_first_row, "posting rows name term", id="term-in-two-rows"),
+    pytest.param(
+        _name_first_term_in_second_row, "posting rows name term", id="term-named-in-two-rows"
+    ),
+    pytest.param(
+        _rewrite_first_row(lambda row, entry: row["terms"].append(entry)),
+        "posting rows name term",
+        id="term-twice-in-one-row",
+    ),
+    pytest.param(
+        _rewrite_first_row(lambda row, entry: row["terms"].clear()),
+        "a posting row names no term",
+        id="row-naming-no-term",
+    ),
+    pytest.param(
+        _rewrite_first_row(lambda row, entry: entry.pop()),
+        "is not three strings",
+        id="entry-of-two-strings",
+    ),
+    pytest.param(
+        _rewrite_first_row(lambda row, entry: entry.__setitem__(0, "UNIFIED")),
+        "unknown term space 'UNIFIED'",
+        id="entry-in-unknown-space",
+    ),
     pytest.param(
         _rewrite_posting_row(_repeat_first_doc_in_row),
         "lists a document twice",
@@ -309,9 +375,9 @@ INDEX_CORRUPTIONS = [
         pytest.param(
             _rewrite_posting_row(lambda row, key=key: row.pop(key)),
             "malformed posting row",
-            id=f"row-without-{key}",
+            id=f"row-without-{name}",
         )
-        for key in ("tfs", "term")
+        for key, name in (("tfs", "tfs"), ("terms", "term"))
     ),
     pytest.param(
         _rewrite_stats(_repeat_first_doc_id), "document 'd1' indexed twice", id="doc-id-twice"
@@ -334,6 +400,11 @@ INDEX_CORRUPTIONS = [
         _rewrite_stats(_miscount_first_space("postings")),
         "posting counts",
         id="posting-count-mismatch",
+    ),
+    pytest.param(
+        _rewrite_stats(lambda stats: stats.update(lists=stats["lists"] + 1)),
+        "lists count",
+        id="lists-count-off-by-one",
     ),
     pytest.param(_write_non_utf8_stats, "codec can't decode", id="stats-not-utf8"),
     pytest.param(
@@ -363,6 +434,7 @@ INDEX_CORRUPTIONS = [
     ),
     pytest.param(_write_version_2_index, "unsupported index version 2", id="version-2-directory"),
     pytest.param(write_version_3_index, "unsupported index version 3", id="version-3-directory"),
+    pytest.param(write_version_4_index, "unsupported index version 4", id="version-4-directory"),
 ]
 
 

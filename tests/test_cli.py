@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import corpusgen
-from conftest import INDEX_CORRUPTIONS, write_jsonl, write_version_1_index, write_version_3_index
+from conftest import (
+    INDEX_CORRUPTIONS,
+    write_jsonl,
+    write_version_1_index,
+    write_version_3_index,
+    write_version_4_index,
+)
 from ontovsm.cli import main
 from ontovsm.retrieval import ALL_MODELS
 
@@ -192,6 +198,17 @@ class TestSearch:
             "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
         ])
         assert_one_error_line(rc, capsys, "unsupported index version 3")
+        assert not (data_dir / "runs").exists()
+
+    def test_version_4_index_rejected(self, data_dir, capsys):
+        # Version 4 saved one row per term, where equal lists repeat; rebuild it.
+        index_dir = write_version_4_index(build(data_dir))
+        capsys.readouterr()
+        rc = main([
+            "search", "--index", str(index_dir),
+            "--queries", str(data_dir / "queries.jsonl"), "--out", str(data_dir / "runs"),
+        ])
+        assert_one_error_line(rc, capsys, "unsupported index version 4")
         assert not (data_dir / "runs").exists()
 
     def test_bad_alpha_fails_before_index_io(self, data_dir, capsys):
@@ -716,11 +733,12 @@ class TestVerifyIndex:
         assert captured.err == ""
         assert captured.out == (
             "verified 3 docs; terms/postings: "
-            "N=4/8, C=4/8, NC=8/16, I=2/4, KW=5/6, KW_FULL=10/13\n"
+            "N=4/8, C=4/8, NC=8/16, I=2/4, KW=5/6, KW_FULL=10/13; lists: 5\n"
         )
         stats = json.loads((index_dir / "stats.json").read_text())
         counts = [f"{s}={stats['terms'][s]}/{stats['postings'][s]}" for s in stats["terms"]]
-        assert captured.out.endswith(": " + ", ".join(counts) + "\n")
+        assert captured.out.endswith(": " + ", ".join(counts) + f"; lists: {stats['lists']}\n")
+        assert stats["lists"] == len((index_dir / "postings.jsonl").read_text().splitlines())
 
 
 class TestProcess:

@@ -29,9 +29,9 @@ SHARED = {
     "ix/kb.jsonl":
         "e24c55ca4d75884fd683cd4da7ba718dfcba67872e806f42d17719f2c6772903",
     "ix/postings.jsonl":
-        "1811c9956b8c19a9b423874d39199fcf00d5d6abd2f2522ce09a84d754275c3a",
+        "264130302d4bf237d258be360dd906ccfb06a493d040e0c63410f39464bc1268",
     "ix/stats.json":
-        "23484a65d46e3775960c46ceb3f3db22afc3ef6aaecd4b3e5e243bf3fc081d94",
+        "e0db4c01f141022439009b60bb1089b4ad6b945d8ba10b4bfe800c34c2e25e51",
     "ix/taxonomy.jsonl":
         "455aed133866935087e5175440e55db1ae7274fdd39e3d4e16b9dfefc117b435",
     "out/runs/kw-and-ne-n.run":

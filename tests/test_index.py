@@ -7,6 +7,7 @@ import json
 import math
 import sys
 from array import array
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from ontovsm.index import (
 )
 from ontovsm.ontology import KnowledgeBase, load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import ModelKind, score
-from ontovsm.termspace import class_term, identifier_term, keyword_term, name_term
+from ontovsm.termspace import class_term, format_term, identifier_term, keyword_term, name_term
 
 LN4 = math.log(4.0)
 LN2_5 = math.log(2.5)
@@ -193,6 +194,80 @@ class TestSharedKeywordLists:
         full = mixed_index.posting_list(saigon, "KW_FULL")
         assert full is not mixed_index.posting_list(saigon, "KW")
 
+    def test_a_list_is_shared_exactly_when_equal(self, mixed_index):
+        # In any two spaces: the name "saigon" and the keyword "is" each occur
+        # once, in d1 alone.
+        plists = [
+            mixed_index.posting_list(t, s) for s in STORED_SPACES for t in mixed_index.terms(s)
+        ]
+        for a, b in combinations(plists, 2):
+            assert (a is b) == (a == b), (a, b)
+        saigon = mixed_index.posting_list(name_term("Saigon"), "N")
+        assert saigon is mixed_index.posting_list(keyword_term("is"), "KW")
+        assert saigon is mixed_index.posting_list(keyword_term("is"), "KW_FULL")
+
+    def test_direct_constructor_shares_equal_lists(self, kb, taxonomy):
+        postings = {s: {} for s in STORED_SPACES}
+        postings["N"][name_term("Saigon")] = array(TYPECODE, [0, 1, 1, 2])
+        postings["C"][class_term("City")] = array(TYPECODE, [0, 1, 1, 2])
+        postings["I"][identifier_term("e1")] = array(TYPECODE, [0, 1, 1, 1])
+        index = InvertedIndex(["d1", "d2"], postings, kb, taxonomy)
+        saigon = index.posting_list(name_term("Saigon"), "N")
+        assert index.posting_list(class_term("City"), "C") is saigon
+        assert index.posting_list(identifier_term("e1"), "I") is not saigon
+
+    @pytest.mark.parametrize("held", ["built", "loaded"])
+    def test_an_entitys_expansion_holds_one_array(self, tmp_path, held):
+        # Two aliases and a class two levels below the root: every N, NC and I
+        # term of the entity, and the classes no other entity has, name d1 alone.
+        taxonomy = load_taxonomy([
+            {"class": "Agent"},
+            {"class": "Person", "parents": ["Agent"]},
+            {"class": "Politician", "parents": ["Person"]},
+        ])
+        kb = load_knowledge_base(
+            [
+                {"id": "p1", "class": "Politician", "names": ["Ada Quang", "President Quang"]},
+                {"id": "a1", "class": "Agent", "names": ["Syndicate"]},
+            ],
+            taxonomy,
+        )
+        records = [
+            {
+                "doc_id": "d1",
+                "text": "Ada Quang spoke",
+                "annotations": [{"start": 0, "end": 9, "id": "p1"}],
+            },
+            {
+                "doc_id": "d2",
+                "text": "Syndicate spoke",
+                "annotations": [{"start": 0, "end": 9, "id": "a1"}],
+            },
+        ]
+        index = build_index([ingest_document(r, kb, taxonomy) for r in records], kb, taxonomy)
+        if held == "loaded":
+            save_index(index, tmp_path / "ix")
+            index = load_index(tmp_path / "ix")
+        shared = index.posting_list(identifier_term("p1"), "I")
+        assert list(shared) == [0, 1]
+        holders = {
+            (s, format_term(t)) for s in STORED_SPACES for t in index.terms(s)
+            if index.posting_list(t, s) is shared
+        }
+        names, classes = ("ada quang", "president quang"), ("Politician", "Person", "Agent")
+        assert holders == {
+            *(("N", f"N:{name}") for name in names),
+            ("C", "C:Politician"),
+            ("C", "C:Person"),
+            *(("NC", f"NC:{name}/{c}") for name in names for c in classes),
+            ("I", "I:p1"),
+            ("KW_FULL", "KW:ada"),
+            ("KW_FULL", "KW:quang"),
+        }
+        # C:Agent names both documents, as the keyword "spoke" does.
+        agent = index.posting_list(class_term("Agent"), "C")
+        assert agent is not shared and agent is index.posting_list(keyword_term("spoke"), "KW")
+
 
 def weights(index, doc_id, space):
     """tf.idf weights of one document in one stored space."""
@@ -299,15 +374,31 @@ class TestPersistence:
         assert names == ["kb.jsonl", "postings.jsonl", "stats.json", "taxonomy.jsonl"]
         lines = (tmp_path / "ix" / "postings.jsonl").read_text().splitlines()
         rows = [json.loads(line) for line in lines]
-        assert len(rows) == sum(city_index.term_count(s) for s in STORED_SPACES)
-        assert {"space": "N", "term": ["saigon", ""], "docs": [0, 1], "tfs": [1, 1]} in rows
-        assert {"space": "KW_FULL", "term": ["city", ""], "docs": [0], "tfs": [1]} in rows
+        # One row per distinct list, naming each stored term once.
+        assert len(rows) == city_index.list_count() == 5
+        named = [entry for row in rows for entry in row["terms"]]
+        assert sorted(named) == sorted(
+            [s, t.primary, t.secondary] for s in STORED_SPACES for t in city_index.terms(s)
+        )
+        assert len(named) == sum(city_index.term_count(s) for s in STORED_SPACES)
+        saigon = [["N", "saigon", ""], ["C", "Location", ""], ["NC", "saigon", "Location"]]
+        assert {"terms": saigon, "docs": [0, 1], "tfs": [1, 1]} in rows
+        assert ["KW_FULL", "city", ""] in rows[0]["terms"] and rows[0]["docs"] == [0]
+        # Terms follow STORED_SPACES order, then term order, within a row and by a row's first.
+        def order(entry):
+            return STORED_SPACES.index(entry[0]), entry[1], entry[2]
+
+        firsts = [order(row["terms"][0]) for row in rows]
+        assert firsts == sorted(firsts)
+        for row in rows:
+            assert row["terms"] == sorted(row["terms"], key=order)
 
     def test_stats_describe_the_saved_files(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
         stats = json.loads((tmp_path / "ix" / "stats.json").read_text())
-        assert stats["version"] == 4
+        assert stats["version"] == 5
         assert stats["terms"] == {s: city_index.term_count(s) for s in STORED_SPACES}
+        assert stats["lists"] == city_index.list_count() == 5
         assert stats["postings"] == {
             s: sum(len(city_index.postings(t, s)) for t in city_index.terms(s))
             for s in STORED_SPACES
@@ -332,7 +423,10 @@ class TestPersistence:
         save_index(index, tmp_path / "a")
         lines = (tmp_path / "a" / "postings.jsonl").read_text().splitlines()
         # Doc numbers 1 and 2, saved as the first and its gap, without spaces.
-        assert '{"space":"KW","term":["growing",""],"docs":[1,1],"tfs":[1,1]}' in lines
+        assert (
+            '{"terms":[["KW","growing",""],["KW_FULL","growing",""]],"docs":[1,1],"tfs":[1,1]}'
+            in lines
+        )
         rows = [json.loads(line) for line in lines]
         assert all(gap > 0 for row in rows for gap in row["docs"][1:])
         loaded = load_index(tmp_path / "a")
@@ -482,8 +576,16 @@ class TestPersistence:
         save_index(city_index, tmp_path / "ix")
         path = tmp_path / "ix" / "postings.jsonl"
         saved = path.read_text()
-        for term in (["saigon"], ["saigon", "City", ""], ["saigon", 7], "ab", None):
-            row = {"space": "NC", "term": term, "docs": [0], "tfs": [1]}
+        for entry in (
+            ["NC", "saigon"], ["NC", "saigon", "City", ""], ["NC", "saigon", 7], "abc", None
+        ):
+            row = {"terms": [entry], "docs": [0], "tfs": [1]}
+            path.write_text(saved + json.dumps(row) + "\n")
+            restamp(tmp_path / "ix", "postings.jsonl")
+            with pytest.raises(IndexFormatError, match="is not three strings"):
+                load_index(tmp_path / "ix")
+        for terms in ("NC", None, {"NC": "saigon"}):
+            row = {"terms": terms, "docs": [0], "tfs": [1]}
             path.write_text(saved + json.dumps(row) + "\n")
             restamp(tmp_path / "ix", "postings.jsonl")
             with pytest.raises(IndexFormatError, match="malformed posting row"):
@@ -491,11 +593,11 @@ class TestPersistence:
 
     def test_posting_in_unknown_space(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")
-        row = {"space": "UNIFIED", "term": ["saigon", ""], "docs": [0], "tfs": [1]}
+        row = {"terms": [["UNIFIED", "saigon", ""]], "docs": [0], "tfs": [1]}
         with open(tmp_path / "ix" / "postings.jsonl", "a", encoding="utf-8") as fh:
             fh.write(json.dumps(row) + "\n")
         restamp(tmp_path / "ix", "postings.jsonl")
-        with pytest.raises(IndexFormatError, match="unknown term space"):
+        with pytest.raises(IndexFormatError, match="unknown term space 'UNIFIED'"):
             load_index(tmp_path / "ix")
 
     def test_posting_with_unknown_doc(self, tmp_path, city_index):
@@ -503,11 +605,35 @@ class TestPersistence:
         path = tmp_path / "ix" / "postings.jsonl"
         saved = path.read_text()
         for doc in (-1, 3, 2**40, 1.0, "0", None):
-            row = {"space": "KW", "term": ["unheard", ""], "docs": [0, doc], "tfs": [1, 1]}
+            row = {"terms": [["KW", "unheard", ""]], "docs": [0, doc], "tfs": [1, 1]}
             path.write_text(saved + json.dumps(row) + "\n")
             restamp(tmp_path / "ix", "postings.jsonl")
-            with pytest.raises(IndexFormatError, match=f"unknown document number {doc!r}"):
+            with pytest.raises(
+                IndexFormatError,
+                match=f"row for KW:unheard in space KW names unknown document number {doc!r}",
+            ):
                 load_index(tmp_path / "ix")
+
+    def test_lists_count_names_both_counts(self, tmp_path, city_index):
+        save_index(city_index, tmp_path / "ix")
+        path = tmp_path / "ix" / "stats.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "lists": 4}))
+        with pytest.raises(
+            IndexFormatError, match="stats.json's lists count 4 does not match the 5 posting rows"
+        ):
+            load_index(tmp_path / "ix")
+
+    def test_row_errors_name_the_rows_first_term(self, tmp_path, city_index):
+        save_index(city_index, tmp_path / "ix")
+        path = tmp_path / "ix" / "postings.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[1]["tfs"][0] = 0
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        restamp(tmp_path / "ix", "postings.jsonl")
+        with pytest.raises(
+            IndexFormatError, match="row for N:saigon in space N gives doc number 0 term frequency 0"
+        ):
+            load_index(tmp_path / "ix")
 
     @pytest.mark.parametrize("bad_id", ["d 1", "d1\n", "", 7, None])
     def test_malformed_doc_id_in_stats(self, tmp_path, city_index, bad_id):

@@ -1,7 +1,7 @@
 """Peak memory of a build, a load and a compare, and the bytes a loaded index holds.
 
 The corpus streams into the build one document at a time, compare keeps only
-the ranked doc ids it evaluates, and the index holds each posting list as one
+the ranked doc ids it evaluates, and the index holds each distinct posting list as one
 array of doc numbers and term frequencies. Each peak is bounded per stored
 posting, one (term, document) pair of one space, a count that neither the
 file format nor the index's layout in memory changes. The corpus has
@@ -21,22 +21,25 @@ from ontovsm.index import STORED_SPACES, build_index, load_index, save_index
 from ontovsm.ontology import read_kb_file, read_taxonomy_file
 
 # Bytes per stored posting, measured on CPython 3.11.7 with 6,514 stored
-# postings: the build peaks at 31.5, a load at 22.2 and compare at 87.0. With
-# every posting array of typecode 'I' they read 35.6, 26.2 and 90.5, and with
-# postings saved as [doc_id, tf] pairs a load peaked at 29.1. The build and
-# load bounds sit 13-14% above their readings, the compare bound 24%; in bytes
-# (about 235, 163 and 704 kB) none is higher than the bounds once set at 3.0,
-# 2.5 and 8.0 times the 88,924-byte postings.jsonl of that format (267, 222
-# and 711 kB).
+# postings: the build peaks at 31.7, a load at 20.6 and compare at 86.0. With
+# a row and an array for each term, where equal lists repeat, a load peaked
+# at 22.1; with every posting array of typecode 'I' they read 35.6, 26.2 and
+# 90.5, and with postings saved as [doc_id, tf] pairs a load peaked at 29.1.
+# The build bound sits 14% above its reading, the load bound 17% and the
+# compare bound 26%; in bytes (about 235, 156 and 704 kB) none is higher than
+# the bounds once set at 3.0, 2.5 and 8.0 times the 88,924-byte
+# postings.jsonl of version 2 (267, 222 and 711 kB).
 BUILD_PEAK_PER_POSTING = 36
-LOAD_PEAK_PER_POSTING = 25
+LOAD_PEAK_PER_POSTING = 24
 COMPARE_PEAK_PER_POSTING = 108
-# A loaded index holds 15.5 bytes per stored posting on 3.11.7, and a built
-# one 16.4; with every posting array of typecode 'I' they held 18.9 and 19.9,
-# and in dicts keyed by doc-id strings an index held 46.0. A built index holds
-# more on CPython 3.10, about 18.4, so its bound sits further above.
-LOADED_BYTES_PER_POSTING = 18
-BUILT_BYTES_PER_POSTING = 20
+# A loaded index holds 14.2 bytes per stored posting on 3.11.7, and a built
+# one 15.1; with an array for each term, where equal lists repeat, they held
+# 15.5 and 16.6, with every posting array of typecode 'I' 18.9 and 19.9, and
+# in dicts keyed by doc-id strings an index held 46.0. A built index held
+# about 2 bytes more per posting on CPython 3.10, so its bound sits further
+# above.
+LOADED_BYTES_PER_POSTING = 17
+BUILT_BYTES_PER_POSTING = 19
 
 
 def traced(fn):

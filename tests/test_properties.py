@@ -4,13 +4,15 @@ expansion, ingest's single token pass against tokenize and the per-token span
 rule, query terms nested in document terms, the filter-set laws, the score
 range, search against a per-use reference scorer, filter, search and score
 raising on the same queries and agreeing on scores, save/load/search identity,
-saved doc-number gaps loading back as the lists saved, and loaders and
-subcommands fed fuzzed input files."""
+one array and one saved row for each distinct posting list, saved doc-number
+gaps loading back as the lists saved, and loaders and subcommands fed fuzzed
+input files."""
 import contextlib
 import copy
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -483,6 +485,24 @@ def test_save_load_search_identical(collection, config):
     assert all_runs(reloaded, query_list, config) == all_runs(index, query_list, config)
 
 
+@given(collections())
+def test_a_list_is_shared_exactly_when_equal(collection):
+    index, _ = collection
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        save_index(index, a)
+        loaded = load_index(a)
+        save_index(loaded, b)
+        rows = (a / "postings.jsonl").read_text(encoding="utf-8").splitlines()
+        for name in ("stats.json", "postings.jsonl"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+    for held in (index, loaded):
+        plists = [held.posting_list(t, s) for s in STORED_SPACES for t in held.terms(s)]
+        for first, second in itertools.combinations(plists, 2):
+            assert (first is second) == (first == second)
+        assert len(rows) == len({id(plist) for plist in plists})
+
+
 @st.composite
 def ascending_lists(draw):
     """A collection size and up to one posting list per stored space, each drawn
@@ -505,6 +525,7 @@ def ascending_lists(draw):
 
 @given(ascending_lists())
 @example((3, [([0, 1, 2], [1, MAX_TF, 1])]))
+@example((3, [([0, 2], [1, 1]), ([1], [2]), ([0, 2], [1, 1]), ([1], [2])]))
 def test_saved_gaps_load_as_the_lists_saved(case):
     n_docs, lists = case
     postings = {space: {} for space in STORED_SPACES}
@@ -517,7 +538,13 @@ def test_saved_gaps_load_as_the_lists_saved(case):
         rows = (Path(tmp) / "postings.jsonl").read_text(encoding="utf-8").splitlines()
         loaded = load_index(tmp)
     saved = [json.loads(row) for row in rows]
-    assert [(list(accumulate(row["docs"])), row["tfs"]) for row in saved] == lists
+    # One row per distinct list, in the order of its first space, naming each space that has it.
+    distinct = [drawn for at, drawn in enumerate(lists) if drawn not in lists[:at]]
+    assert [(list(accumulate(row["docs"])), row["tfs"]) for row in saved] == distinct
+    assert [row["terms"] for row in saved] == [
+        [[space, "t", ""] for space, drawn in zip(STORED_SPACES, lists) if drawn == kept]
+        for kept in distinct
+    ]
     for space in STORED_SPACES:
         assert loaded.terms(space) == index.terms(space)
         for term in index.terms(space):
