@@ -91,15 +91,18 @@ class InvertedIndex:
     index already holds is that list, in any space, as the expansion often
     gives many terms one list (an entity's aliases, a name's NC pairs up its
     class chain): for any two lists the index holds, ``a is b`` exactly when
-    ``a == b``.
+    ``a == b``. The one pass that takes each space's terms in sorted order
+    shares them, keyed by typecode and bytes.
 
     The constructor checks that each id is plain and listed once, and sorts
-    them; it rebuilds each posting list through the checks ``load_index`` makes
-    of a saved row, and raises ``CorpusError`` naming the term, the space and
-    the fault, so that an index built here saves only what loads back. A caller
-    that has already done all this, as ``build_index`` and ``load_index`` have,
-    passes the sorted ids as ``ids``: the index then keeps its lists uncopied,
-    and they must not change afterwards.
+    them. It holds each term to the rule of a saved row's entry (a ``Term`` of
+    three strings, of its space, ``KW`` in ``KW_FULL``, with a class in NC
+    alone) and rebuilds each posting list through the checks ``load_index``
+    makes of a saved row; it raises ``CorpusError`` naming the term, the space
+    and the fault, so that an index built here saves only what loads back. A
+    caller that has already done all this, as ``build_index`` and
+    ``load_index`` have, passes the sorted ids as ``ids``: the index then keeps
+    its lists uncopied, and they must not change afterwards.
     """
 
     def __init__(
@@ -117,29 +120,31 @@ class InvertedIndex:
         self.kb = kb
         self.taxonomy = taxonomy
         self.stopwords = frozenset(stopwords)
-        # Normalize to sorted term order here so the build and load paths
-        # produce identical iteration order, hence identical float sums.
-        self._postings: dict[str, dict[Term, PostingList]] = {
-            space: {t: postings[space][t] for t in sorted(postings[space])}
-            for space in STORED_SPACES
-        }
-        if ids is None:  # a direct caller's lists: each is held to a saved row's rule
-            for space, sp in self._postings.items():
-                for term, plist in sp.items():
+        # Each space's terms in sorted order, so that the build and load paths
+        # sum the norms in one order. A list equal to one held before it is that
+        # list: _interleaved gives equal lists one typecode, so equal bytes.
+        n_docs = len(self.ids)
+        held: dict[tuple[str, bytes], PostingList] = {}
+        self._postings: dict[str, dict[Term, PostingList]] = {}
+        for space in STORED_SPACES:
+            given = postings[space]
+            sp = self._postings[space] = {}
+            check = None if ids is not None else partial(_checked_term, space)
+            for term in sorted(given, key=check):
+                plist = given[term]
+                if ids is None:  # a direct caller's list: held to a saved row's rule
                     try:
-                        sp[term] = _posting_array(
-                            _gaps(plist[::2]), list(plist[1::2]), len(self.ids)
-                        )
+                        plist = _posting_array(_gaps(plist[::2]), list(plist[1::2]), n_docs)
                     except ValueError as exc:
                         raise CorpusError(
                             f"posting list for {format_term(term)} in space {space} {exc}"
                         ) from None
-        _share_equal_lists(self._postings)
+                sp[term] = held.setdefault((plist.typecode, plist.tobytes()), plist)
+        del held
         # Each document's tf.idf vector length per vector space. Squares sum in
         # sorted term order, UNIFIED running on through the partitioned spaces in
         # TERM_SPACES order. A space's sums are rooted into its array as soon as
         # they are complete, so at most two lists of sums are held at a time.
-        n_docs = len(self.ids)
         unified = [0.0] * n_docs
         self.norms: dict[str, array] = {}
         for space, sp in self._postings.items():
@@ -194,20 +199,19 @@ class InvertedIndex:
         return {ids[doc]: tf for doc, tf in _pairs(self.posting_list(term, space))}
 
 
-def _share_equal_lists(postings: dict[str, dict[Term, PostingList]]) -> None:
-    """Give every term whose list equals one held before it that list."""
-    # Keyed by typecode, length and a hash of the bytes, so that the table
-    # holds no bytes copy of any list; a key's lists are told apart by ==.
-    held: dict[tuple, list[PostingList]] = {}
-    for sp in postings.values():
-        for term, plist in sp.items():
-            alike = held.setdefault((plist.typecode, len(plist), hash(plist.tobytes())), [])
-            for kept in alike:
-                if kept == plist:
-                    sp[term] = kept  # an existing key: the map does not resize
-                    break
-            else:
-                alike.append(plist)
+def _checked_term(space: str, term) -> Term:
+    """A direct caller's term, once it is one a saved row of the stored space
+    could name: a Term of three strings, of the space (``KW`` in ``KW_FULL``),
+    with a class in NC alone. Raises ``CorpusError`` naming the fault."""
+    if not (isinstance(term, Term) and all(type(s) is str for s in term)):
+        fault = "is not a Term of three strings"
+    elif term.space != ("KW" if space == "KW_FULL" else space):
+        fault = f"belongs to space {term.space!r}"
+    elif term.secondary and space != "NC":
+        fault = f"carries class {term.secondary!r} outside NC"
+    else:
+        return term
+    raise CorpusError(f"term {term!r} in space {space} {fault}")
 
 
 def _sorted_ids(doc_ids: list[str]) -> list[str]:
@@ -417,12 +421,19 @@ def _posting_array(gaps, tfs, n_docs: int) -> PostingList:
     return _interleaved(list(accumulate(gaps)), tfs)
 
 
+def _term_in_space(entry: tuple[int, str, Term]) -> str:
+    _, space, term = entry
+    return f"{format_term(term)} in space {space}"
+
+
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index directory that ``save_index`` wrote, or raise
     ``IndexFormatError`` naming what is wrong with it: a file that is missing or
     differs from the size and digest stats.json records, a malformed row, a term
-    named twice, or counts that do not match the rows. Each row's array is built
-    once and held by every term the row names."""
+    named twice or one ``save_index`` would not write, terms or rows out of the
+    order it writes them in, two rows that hold one list, or counts that do not
+    match the rows. Each row's array is built once and held by every term the
+    row names."""
     path = Path(path)
     try:
         stats = parse_json((path / "stats.json").read_text(encoding="utf-8"))
@@ -459,6 +470,7 @@ def load_index(path: str | Path) -> InvertedIndex:
 
     postings: dict[str, dict[Term, PostingList]] = {s: {} for s in STORED_SPACES}
     rows = 0
+    previous = None  # the last row's first (space number, space, term)
     for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
         rows += 1
         try:
@@ -476,25 +488,44 @@ def load_index(path: str | Path) -> InvertedIndex:
                     f"{path}: posting row entry {entry!r} is not three strings: "
                     "space, term and class"
                 )
-            space = entry[0]
+            space, _, secondary = entry
             if space not in STORED_SPACES:
                 raise IndexFormatError(f"{path}: unknown term space {space!r}")
+            if secondary and space != "NC":
+                raise IndexFormatError(
+                    f"{path}: posting row entry {entry!r} carries class {secondary!r} outside NC"
+                )
             # A KW_FULL entry names a KW term.
-            named.append((space, Term("KW" if space == "KW_FULL" else space, *entry[1:])))
+            key = Term("KW" if space == "KW_FULL" else space, *entry[1:])
+            named.append((STORED_SPACES.index(space), space, key))
         try:
             plist = _posting_array(gaps, tfs, len(ids))
         except ValueError as exc:
-            space, key = named[0]
+            _, space, key = named[0]
             raise IndexFormatError(
                 f"{path}: posting row for {format_term(key)} in space {space} {exc}"
             ) from None
         # Every term the row names holds its one array.
-        for space, key in named:
+        for _, space, key in named:
             if key in postings[space]:
                 raise IndexFormatError(
                     f"{path}: posting rows name term {format_term(key)} in space {space} twice"
                 )
             postings[space][key] = plist
+        # As save_index orders them: a row's terms, and the rows by their first
+        # terms, strictly ascend by space in STORED_SPACES order, then by term.
+        for before, after in pairwise(named):
+            if not before < after:
+                raise IndexFormatError(
+                    f"{path}: a posting row's terms are out of order: "
+                    f"{_term_in_space(after)} follows {_term_in_space(before)}"
+                )
+        if previous and not previous < named[0]:
+            raise IndexFormatError(
+                f"{path}: posting rows are out of order: the row for {_term_in_space(named[0])} "
+                f"follows the row for {_term_in_space(previous)}"
+            )
+        previous = named[0]
 
     if stats.get("lists") != rows:
         raise IndexFormatError(
@@ -502,6 +533,11 @@ def load_index(path: str | Path) -> InvertedIndex:
             f"does not match the {rows} posting rows"
         )
     index = InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords, ids=ids)
+    if index.list_count() != rows:
+        raise IndexFormatError(
+            f"{path}: two posting rows hold one list: the {rows} rows hold "
+            f"{index.list_count()} distinct lists"
+        )
     for name, count in (("term", index.term_count), ("posting", index.posting_count)):
         counts = {space: count(space) for space in STORED_SPACES}
         if stats.get(f"{name}s") != counts:

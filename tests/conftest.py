@@ -185,6 +185,41 @@ def _rewrite_first_row(change):
     return corrupt
 
 
+def _swap_first_rows(index_dir):
+    rows = _posting_rows(index_dir)
+    rows[0], rows[1] = rows[1], rows[0]
+    _write_posting_rows(index_dir, rows)
+
+
+def _first_row_of_two_terms(rows):
+    return next(row for row in rows if len(row["terms"]) > 1)
+
+
+def _reverse_a_rows_terms(index_dir):
+    rows = _posting_rows(index_dir)
+    _first_row_of_two_terms(rows)["terms"].reverse()
+    _write_posting_rows(index_dir, rows)
+
+
+def _give_a_keyword_a_class(index_dir):
+    rows = _posting_rows(index_dir)
+    next(entry for row in rows for entry in row["terms"] if entry[0] == "KW")[2] = "Extra"
+    _write_posting_rows(index_dir, rows)
+
+
+def _split_a_row(index_dir):
+    """Move every term but the first of a row that names two or more into a row
+    of its own, holding the same list, in first-term order; stats.json's lists
+    count is stamped afresh."""
+    rows = _posting_rows(index_dir)
+    row = _first_row_of_two_terms(rows)
+    rows.append({**row, "terms": row["terms"][1:]})
+    del row["terms"][1:]
+    rows.sort(key=lambda row: (STORED_SPACES.index(row["terms"][0][0]), row["terms"][0][1:]))
+    _write_posting_rows(index_dir, rows)
+    _rewrite_stats(lambda stats: stats.update(lists=len(rows)))(index_dir)
+
+
 def _edit_one_byte(name):
     """Turn the file's last digit or letter into the next one, keeping its size
     and digest entry. The edited file still parses."""
@@ -326,6 +361,14 @@ INDEX_CORRUPTIONS = [
         "unknown term space 'UNIFIED'",
         id="entry-in-unknown-space",
     ),
+    pytest.param(
+        _give_a_keyword_a_class, "carries class 'Extra' outside NC", id="class-outside-nc"
+    ),
+    pytest.param(_swap_first_rows, "posting rows are out of order", id="rows-out-of-order"),
+    pytest.param(
+        _reverse_a_rows_terms, "a posting row's terms are out of order", id="terms-out-of-order"
+    ),
+    pytest.param(_split_a_row, "two posting rows hold one list", id="list-split-over-two-rows"),
     pytest.param(
         _rewrite_posting_row(_repeat_first_doc_in_row),
         "lists a document twice",

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from array import array
 from itertools import combinations
@@ -30,7 +31,14 @@ from ontovsm.index import (
 )
 from ontovsm.ontology import KnowledgeBase, load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import ModelKind, score
-from ontovsm.termspace import class_term, format_term, identifier_term, keyword_term, name_term
+from ontovsm.termspace import (
+    Term,
+    class_term,
+    format_term,
+    identifier_term,
+    keyword_term,
+    name_term,
+)
 
 LN4 = math.log(4.0)
 LN2_5 = math.log(2.5)
@@ -122,6 +130,28 @@ class TestBuild:
         postings = {s: {} for s in STORED_SPACES}
         postings["KW"][keyword_term("growing")] = array(TYPECODE, pairs)
         with pytest.raises(CorpusError, match=rf"KW:growing in space KW .*{message}"):
+            InvertedIndex(["d1", "d2"], postings, kb, taxonomy)
+
+    @pytest.mark.parametrize(
+        "space, term, fault",
+        [
+            # Before the constructor checked terms, each of these saved and then
+            # loaded as another term, or failed to save or to load.
+            ("N", Term("C", "City"), "belongs to space 'C'"),
+            ("KW_FULL", Term("KW_FULL", "city"), "belongs to space 'KW_FULL'"),
+            ("KW", Term("KW", 5), "is not a Term of three strings"),
+            ("KW", ("KW", "city", ""), "is not a Term of three strings"),
+            ("KW", "city", "is not a Term of three strings"),
+            ("KW", Term("KW", "city", "Extra"), "carries class 'Extra' outside NC"),
+        ],
+        ids=["C-in-N", "KW_FULL-in-KW_FULL", "int-keyword", "tuple", "str", "class-in-KW"],
+    )
+    def test_constructor_refuses_terms_a_load_would_refuse(self, kb, taxonomy, space, term, fault):
+        # Beside a valid term of the space, which a bad one may not sort against.
+        postings = {s: {} for s in STORED_SPACES}
+        valid = Term("KW" if space == "KW_FULL" else space, "growing")
+        postings[space] = {valid: array(TYPECODE, [0, 1]), term: array(TYPECODE, [0, 1])}
+        with pytest.raises(CorpusError, match=rf"term .* in space {space} {re.escape(fault)}"):
             InvertedIndex(["d1", "d2"], postings, kb, taxonomy)
 
     @pytest.mark.parametrize("item", [True, "x", 1.0])

@@ -21,11 +21,13 @@ from ontovsm.index import STORED_SPACES, build_index, load_index, save_index
 from ontovsm.ontology import read_kb_file, read_taxonomy_file
 
 # Bytes per stored posting, measured on CPython 3.11.7 with 6,514 stored
-# postings: the build peaks at 31.7, a load at 20.6 and compare at 86.0. With
-# a row and an array for each term, where equal lists repeat, a load peaked
-# at 22.1; with every posting array of typecode 'I' they read 35.6, 26.2 and
-# 90.5, and with postings saved as [doc_id, tf] pairs a load peaked at 29.1.
-# The build bound sits 14% above its reading, the load bound 17% and the
+# postings: the build peaks at 32.2 to 32.5 by run, a load at 20.6 and
+# compare at 86.0. When equal lists were found by a hash of their bytes, with
+# no bytes copy held, the build peaked at 31.7. With a row and an array for
+# each term, where equal lists repeat, a load peaked at 22.1; with every
+# posting array of typecode 'I' they read 35.6, 26.2 and 90.5, and with
+# postings saved as [doc_id, tf] pairs a load peaked at 29.1.
+# The build bound sits 11% above its reading, the load bound 17% and the
 # compare bound 26%; in bytes (about 235, 156 and 704 kB) none is higher than
 # the bounds once set at 3.0, 2.5 and 8.0 times the 88,924-byte
 # postings.jsonl of version 2 (267, 222 and 711 kB).
@@ -33,8 +35,8 @@ BUILD_PEAK_PER_POSTING = 36
 LOAD_PEAK_PER_POSTING = 24
 COMPARE_PEAK_PER_POSTING = 108
 # A loaded index holds 14.2 bytes per stored posting on 3.11.7, and a built
-# one 15.1; with an array for each term, where equal lists repeat, they held
-# 15.5 and 16.6, with every posting array of typecode 'I' 18.9 and 19.9, and
+# one about 15.3; with an array for each term, where equal lists repeat, they
+# held 15.5 and 16.6, with every posting array of typecode 'I' 18.9 and 19.9, and
 # in dicts keyed by doc-id strings an index held 46.0. A built index held
 # about 2 bytes more per posting on CPython 3.10, so its bound sits further
 # above.
