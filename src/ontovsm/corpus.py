@@ -10,7 +10,7 @@ markup.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -77,6 +77,9 @@ class Query:
     query_id: str
     keywords: tuple[str, ...]
     annotations: tuple[Annotation, ...]
+    # Retrieval's memo of the sorted query terms under each (knowledge base,
+    # overlapped) pair; not part of the query's value.
+    _terms: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def is_plain_id(value) -> bool:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
 from .corpus import AnnotatedDocument, is_plain_id
-from .errors import CorpusError, IndexFormatError
+from .errors import CorpusError, IndexFormatError, KnowledgeBaseError, TaxonomyError
 from .ontology import (
     ClassTaxonomy,
     KnowledgeBase,
@@ -429,11 +429,11 @@ def _term_in_space(entry: tuple[int, str, Term]) -> str:
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index directory that ``save_index`` wrote, or raise
     ``IndexFormatError`` naming what is wrong with it: a file that is missing or
-    differs from the size and digest stats.json records, a malformed row, a term
-    named twice or one ``save_index`` would not write, terms or rows out of the
-    order it writes them in, two rows that hold one list, or counts that do not
-    match the rows. Each row's array is built once and held by every term the
-    row names."""
+    differs from the size and digest stats.json records, a taxonomy or knowledge
+    base record its loader refuses, a malformed row, a term named twice or one
+    ``save_index`` would not write, terms or rows out of the order it writes them
+    in, two rows that hold one list, or counts that do not match the rows. Each
+    row's array is built once and held by every term the row names."""
     path = Path(path)
     try:
         stats = parse_json((path / "stats.json").read_text(encoding="utf-8"))
@@ -449,8 +449,12 @@ def load_index(path: str | Path) -> InvertedIndex:
         )
     _check_files(path, stats.get("files"))
 
-    taxonomy = load_taxonomy(read_jsonl(path / "taxonomy.jsonl", IndexFormatError))
-    kb = load_knowledge_base(read_jsonl(path / "kb.jsonl", IndexFormatError), taxonomy)
+    try:
+        taxonomy = load_taxonomy(read_jsonl(path / "taxonomy.jsonl", IndexFormatError))
+        kb = load_knowledge_base(read_jsonl(path / "kb.jsonl", IndexFormatError), taxonomy)
+    except (TaxonomyError, KnowledgeBaseError) as exc:
+        name = "taxonomy.jsonl" if isinstance(exc, TaxonomyError) else "kb.jsonl"
+        raise IndexFormatError(f"{path / name}: {exc}") from None
 
     doc_ids = stats.get("doc_ids")
     if not isinstance(doc_ids, list):

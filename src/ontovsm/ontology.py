@@ -112,12 +112,16 @@ class KnowledgeBase:
 
 
 def load_taxonomy(records: Iterable[Mapping]) -> ClassTaxonomy:
-    """Build a taxonomy from ``{"class": ..., "parents": [...]}`` records."""
+    """Build a taxonomy from ``{"class": ..., "parents": [...]}`` records; a root
+    may leave out ``parents``, and no other key is allowed."""
     edges: dict[str, list[str]] = {}
     for rec in records:
         cid = rec.get("class")
         if not isinstance(cid, str) or not cid:
             raise TaxonomyError(f"taxonomy record without a class id: {rec!r}")
+        for key in rec:
+            if key not in ("class", "parents"):
+                raise TaxonomyError(f"class {cid!r} has unknown key {key!r}")
         if cid in edges:
             raise TaxonomyError(f"duplicate class id {cid!r}")
         parents = rec.get("parents", [])
@@ -138,6 +142,9 @@ def _entity_record(rec: Mapping) -> EntityRecord:
     names = rec.get("names")
     if not isinstance(ident, str) or not ident:
         raise KnowledgeBaseError(f"entity record without an id: {rec!r}")
+    for key in rec:
+        if key not in ("id", "class", "names"):
+            raise KnowledgeBaseError(f"entity {ident!r} has unknown key {key!r}")
     if not isinstance(cls, str) or not cls:
         raise KnowledgeBaseError(f"entity {ident!r} has no class")
     if not isinstance(names, list) or not all(isinstance(n, str) and n for n in names):
@@ -146,7 +153,8 @@ def _entity_record(rec: Mapping) -> EntityRecord:
 
 
 def load_knowledge_base(records: Iterable[Mapping], taxonomy: ClassTaxonomy) -> KnowledgeBase:
-    """Build a knowledge base from ``{"id", "class", "names"}`` records, one at a time."""
+    """Build a knowledge base from ``{"id", "class", "names"}`` records, one at a
+    time; no other key is allowed."""
     return KnowledgeBase(map(_entity_record, records), taxonomy)
 
 

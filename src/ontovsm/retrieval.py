@@ -16,10 +16,14 @@ constraint on an intersection and contributes nothing to a union.
 
 Every model is thus a weighted sum of per-space cosines, so a (query, model)
 pair needs only the postings and idfs of the query terms the model reads.
-``_read`` is the one place that decides them: it builds the model's query
-terms, reads each once in the stored space the model reads it from, and raises
-``EmptyQueryError`` when the model reads none. ``filter_documents``, ``search``,
-``rank`` and ``score`` all start from it. The filter unions those postings, and
+``_read`` is the one place that decides them: it takes the query's terms in the
+model's mode, reads each once in the stored space the model reads it from, and
+raises ``EmptyQueryError`` when the model reads none. ``filter_documents``,
+``search``, ``rank`` and ``score`` all start from it. A query has only two
+expansions, overlapped and non-overlapped, so it keeps each, sorted, per
+knowledge base, on first use; the memo is not part of the ``Query``'s value.
+A ``ModelConfig`` likewise builds its table of per-space weights once.
+The filter unions those postings, and
 ``_scores`` walks them all: a document scores ``sum c * tf(d, term) / |d|_space``,
 one c per read. Both work on doc numbers, which ascend with doc id, and map them
 to ids only for what they return. ``score`` reads one document's entry from the
@@ -32,7 +36,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple
 
 from .corpus import Query
@@ -85,7 +89,8 @@ ALL_MODELS = tuple(ModelKind)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Entity-space weights and the keyword blend factor."""
+    """Entity-space weights and the keyword blend factor. ``score_weights`` is
+    computed on first use and kept; it is not part of the config's value."""
 
     w_n: float = 0.25
     w_c: float = 0.25
@@ -107,6 +112,14 @@ class ModelConfig:
     @property
     def space_weights(self) -> dict[str, float]:
         return {"N": self.w_n, "C": self.w_c, "NC": self.w_nc, "I": self.w_i}
+
+    @cached_property
+    def score_weights(self) -> dict[str, tuple[tuple[str, float], ...]]:
+        """For each ``ModelKind.score``, the spaces whose cosines it sums, each with its weight."""
+        entity = tuple(self.space_weights.items())
+        blend = (*[(s, self.alpha * w) for s, w in entity], ("KW", 1.0 - self.alpha))
+        unit = {space: ((space, 1.0),) for space in ("KW_FULL", "UNIFIED")}
+        return {"entity": entity, "blend": blend, **unit}
 
 
 DEFAULT_CONFIG = ModelConfig()
@@ -134,9 +147,13 @@ def _read(index: InvertedIndex, query: Query, model: ModelKind) -> dict[str, lis
     has, so the filter sides follow from the query's terms. A model that reads
     no term of the query raises ``EmptyQueryError``.
     """
+    key = (index.kb, model.overlapped)
+    terms = query._terms.get(key)
+    if terms is None:
+        terms = query._terms[key] = tuple(sorted(query_terms(query, index.kb, model.overlapped)))
     reads: dict[str, list[Read]] = {}
     n_docs = index.n_docs
-    for term in sorted(query_terms(query, index.kb, overlapped=model.overlapped)):
+    for term in terms:
         if term.space == "KW":
             space = model.keyword_space
         else:
@@ -171,17 +188,6 @@ def filter_documents(index: InvertedIndex, query: Query, model: ModelKind) -> se
     return set(map(index.ids.__getitem__, _candidates(_read(index, query, model), model)))
 
 
-def _space_weights(model: ModelKind, config: ModelConfig) -> dict[str, float]:
-    """The vector spaces whose cosines the model sums, each with its weight."""
-    if model.score == "entity":
-        return config.space_weights
-    if model.score == "blend":
-        weights = {s: config.alpha * w for s, w in config.space_weights.items()}
-        weights["KW"] = 1.0 - config.alpha
-        return weights
-    return {model.score: 1.0}
-
-
 def _scores(
     index: InvertedIndex,
     reads: dict[str, list[Read]],
@@ -191,16 +197,19 @@ def _scores(
 ) -> dict[int, float]:
     """Term-at-a-time scores of the doc numbers ``docs``, clamped to 1 and rounded.
     Each read adds c * tf / |d|_space, c = weight * idf_q * idf_d / |q|_space, with
-    query weights tf=1 times idf; terms the index never saw drop out. ``UNIFIED``
-    takes every read in sorted term order: terms sort by space first, so that is
-    the reads of each space in sorted space order. Every posting read adds into
+    query weights tf=1 times idf; terms the index never saw drop out, and so does
+    a space the query has no term in. ``UNIFIED`` takes every read in sorted term
+    order: terms sort by space first, so that is the reads of each space in
+    sorted space order. Every posting read adds into
     one accumulator indexed by doc number; only ``docs`` are returned."""
     acc = [0.0] * index.n_docs
-    for space, weight in _space_weights(model, config).items():
+    for space, weight in config.score_weights[model.score]:
         if space == "UNIFIED":
             entries = [r for s in sorted(reads) for r in reads[s]]
+        elif space in reads:
+            entries = reads[space]
         else:
-            entries = reads.get(space, ())
+            continue
         idfs = [(p, w) for p, w in entries if w > 0.0]
         query_norm = math.sqrt(sum([w * w for _, w in idfs]))
         norms = index.norms[space]

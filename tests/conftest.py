@@ -220,6 +220,20 @@ def _split_a_row(index_dir):
     _rewrite_stats(lambda stats: stats.update(lists=len(rows)))(index_dir)
 
 
+def _add_unknown_key(name, key):
+    """Give the first record of the saved ``name`` a key no loader defines, and
+    restamp it, so that the record check sees it."""
+
+    def corrupt(index_dir):
+        path = index_dir / name
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows[0][key] = []
+        ontology.write_jsonl(path, rows)
+        restamp(index_dir, name)
+
+    return corrupt
+
+
 def _edit_one_byte(name):
     """Turn the file's last digit or letter into the next one, keeping its size
     and digest entry. The edited file still parses."""
@@ -448,6 +462,17 @@ INDEX_CORRUPTIONS = [
         _rewrite_stats(lambda stats: stats.update(lists=stats["lists"] + 1)),
         "lists count",
         id="lists-count-off-by-one",
+    ),
+    # A misspelt key would otherwise be dropped, and with it, say, a class's parents.
+    pytest.param(
+        _add_unknown_key("taxonomy.jsonl", "pareGts"),
+        "class 'City' has unknown key 'pareGts'",
+        id="taxonomy-unknown-key",
+    ),
+    pytest.param(
+        _add_unknown_key("kb.jsonl", "aliases"),
+        "entity 'e1' has unknown key 'aliases'",
+        id="kb-unknown-key",
     ),
     pytest.param(_write_non_utf8_stats, "codec can't decode", id="stats-not-utf8"),
     pytest.param(

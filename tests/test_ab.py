@@ -71,6 +71,39 @@ def test_summary_of_canned_runs():
     assert "2/4" in text.splitlines()[1]
 
 
+@pytest.mark.parametrize("lost", [1, 2])
+def test_verdict_of_canned_runs(lost):
+    # Ten pairs. search_qps: base 97-103, change 130 but for ``lost`` pairs at 90;
+    # compare_s: base 1.0, change 1.3, beyond its 0.25 bound; memory unchanged.
+    base_qps = [100, 102, 98, 101, 99, 100, 103, 97, 100, 100]
+    change_qps = [90] * lost + [130] * (10 - lost)
+    lines = []
+    for pair, (b, c) in enumerate(zip(base_qps, change_qps)):
+        sides = [_line(1.0, b), _line(1.3, c)]
+        lines.extend(sides if pair % 2 == 0 else sides[::-1])
+    summary = ab.summarize(_runs(lines), METRICS)
+    compare, qps, memory = (summary[m["name"]] for m in METRICS)
+    assert qps["won"] == 10 - lost
+    assert qps["gain"] is (lost == 1) and not qps["worse"]
+    assert compare["worse"] and not compare["gain"]
+    assert not memory["gain"] and not memory["worse"]
+    verdicts = [line.split()[-1] for line in ab.format_summary(summary).splitlines()]
+    assert verdicts == ["verdict", "worse", "gain" if lost == 1 else "-", "-"]
+
+
+def test_gain_needs_the_median_beyond_the_base_spread():
+    # The change wins every pair, by less than the base's q1-q3 spread.
+    base_qps = [80, 120, 90, 110, 100, 100]
+    lines = []
+    for pair, b in enumerate(base_qps):
+        sides = [_line(1.0, b), _line(0.76, b + 5)]
+        lines.extend(sides if pair % 2 == 0 else sides[::-1])
+    summary = ab.summarize(_runs(lines), METRICS)
+    assert summary["search_qps"]["won"] == 6 and not summary["search_qps"]["gain"]
+    assert summary["compare_s"]["gain"]  # 0.76 against a base spread of 0
+    assert not summary["compare_s"]["worse"]
+
+
 def test_a_pair_without_both_results_is_left_out_and_reported():
     lines = [_line(1.0, 100.0), None, _line(0.9, 110.0), _line(1.0, 100.0)]
     runs = _runs(lines)

@@ -684,6 +684,28 @@ class TestHostileInput:
         rc = main(argv)
         assert_one_error_line(rc, capsys, f"{data_dir / name}: not valid UTF-8")
 
+    @pytest.mark.parametrize(
+        "name, record, message",
+        [
+            (
+                "taxonomy.jsonl",
+                {"class": "Company", "pareGts": ["Organization"]},
+                "class 'Company' has unknown key 'pareGts'",
+            ),
+            (
+                "kb.jsonl",
+                {"id": "e9", "class": "City", "names": ["Hue"], "aliases": ["Hue City"]},
+                "entity 'e9' has unknown key 'aliases'",
+            ),
+        ],
+    )
+    def test_unknown_record_key(self, data_dir, capsys, name, record, message):
+        records = {"taxonomy.jsonl": corpusgen.TAXONOMY_RECORDS, "kb.jsonl": corpusgen.ENTITY_RECORDS}
+        write_jsonl(data_dir / name, [*records[name], record])
+        rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
+        assert_one_error_line(rc, capsys, message)
+        assert not (data_dir / "ix").exists()
+
     @pytest.mark.parametrize("field", ["doc_id", "text"])
     @pytest.mark.parametrize("command, output", [("build-index", "--index"), ("annotate", "--out")])
     def test_lone_surrogate_in_corpus(self, data_dir, capsys, command, output, field):

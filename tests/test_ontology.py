@@ -102,6 +102,12 @@ class TestTaxonomy:
         with pytest.raises(TaxonomyError):
             load_taxonomy([{"class": "A", "parents": "Location"}])
 
+    def test_unknown_key_rejected(self):
+        # A misspelt "parents" would otherwise make Company a root.
+        records = [{"class": "Org"}, {"class": "Company", "pareGts": ["Org"]}]
+        with pytest.raises(TaxonomyError, match="class 'Company' has unknown key 'pareGts'"):
+            load_taxonomy(records)
+
     def test_ancestors_monotone(self):
         # sub below sup implies ancestors(sup) is a subset of ancestors(sub).
         t = load_taxonomy(corpusgen.SYNTH_TAXONOMY_RECORDS)
@@ -187,6 +193,12 @@ class TestKnowledgeBase:
             load_knowledge_base([{"class": "City", "names": ["A"]}], taxonomy)
         with pytest.raises(KnowledgeBaseError):
             load_knowledge_base([{"id": "x", "class": "City", "names": "A"}], taxonomy)
+
+
+    def test_unknown_key_rejected(self, taxonomy):
+        record = {"id": "e9", "class": "City", "names": ["Hue"], "aliases": ["Hue City"]}
+        with pytest.raises(KnowledgeBaseError, match="entity 'e9' has unknown key 'aliases'"):
+            load_knowledge_base([record], taxonomy)
 
 
 class TestFileLoading:

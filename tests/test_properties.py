@@ -28,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import narrowest_typecode
+from conftest import narrowest_typecode, restamp
 from oracle import pr_points
 from ontovsm.cli import main
 from ontovsm.corpus import (
@@ -651,9 +651,13 @@ def file_contents(name):
 
 
 def write_inputs(directory, name, contents):
+    """Write the valid files with ``contents`` as ``name``. A mutated index file
+    is restamped in stats.json, so that it reaches the checks behind the digest."""
     (directory / "ix").mkdir()
     for valid_name, valid in VALID_FILES.items():
         (directory / valid_name).write_bytes(contents if valid_name == name else valid)
+    if name in INDEX_FILES and name != "ix/stats.json":
+        restamp(directory / "ix", Path(name).name)
 
 
 LOADERS = {

@@ -1,4 +1,5 @@
 """Filtering, scoring, ranking, and run file output for the eight models."""
+import dataclasses
 import io
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 import corpusgen
 from oracle import Oracle
+from ontovsm import retrieval
 from ontovsm.corpus import Annotation, Query, ingest_document, query_from_record
 from ontovsm.errors import ConfigError, EmptyQueryError
 from ontovsm.evaluation import write_run_file
@@ -21,7 +23,7 @@ from ontovsm.retrieval import (
     score,
     search,
 )
-from ontovsm.termspace import keyword_term
+from ontovsm.termspace import keyword_term, query_terms
 
 SQRT2 = math.sqrt(2.0)
 # All entity terms of the three-document fixture have df=2, so every idf
@@ -369,6 +371,62 @@ class TestSearch:
             results = search(un_index, un_query, model)
             scores = [r.score for r in results]
             assert scores == sorted(scores, reverse=True)
+
+
+class TestQueryMemo:
+    """A query expands its terms once per knowledge base and mode; the memo is
+    not part of its value."""
+
+    def test_all_models_expand_once_per_mode(self, monkeypatch, un_index, kb, taxonomy):
+        calls = []
+
+        def counted(query, kb, overlapped):
+            calls.append(overlapped)
+            return query_terms(query, kb, overlapped)
+
+        monkeypatch.setattr(retrieval, "query_terms", counted)
+        query = query_from_record(corpusgen.UN_QUERY_RECORD, kb, taxonomy)
+        for model in ALL_MODELS:
+            search(un_index, query, model)
+            rank(un_index, query, model)
+            score(un_index, query, "d1", model)
+            filter_documents(un_index, query, model)
+        assert sorted(calls) == [False, True]
+
+    def test_each_knowledge_base_gets_its_own_expansion(self):
+        # e1's canonical name differs between the two KBs, so the overlapped
+        # expansion of the identifier-only mention differs too.
+        taxonomy = load_taxonomy([{"class": "City"}])
+        records = [
+            {"doc_id": "d1", "text": "x", "annotations": [{"id": "e1", "start": 0, "end": 1}]},
+            {"doc_id": "d2", "text": "Hanoi", "annotations": [
+                {"name": "Hanoi", "class": "City", "start": 0, "end": 5},
+            ]},
+        ]
+        indexes = []
+        for name in ("Hanoi", "Saigon"):
+            kb = load_knowledge_base([{"id": "e1", "class": "City", "names": [name]}], taxonomy)
+            docs = [ingest_document(r, kb, taxonomy) for r in records]
+            indexes.append(build_index(docs, kb, taxonomy))
+        query = Query("q", ("hanoi",), (Annotation(identifier="e1"),))
+        for index in (*indexes, *indexes):
+            for model in ALL_MODELS:
+                fresh = Query("q", ("hanoi",), (Annotation(identifier="e1"),))
+                assert search(index, query, model) == search(index, fresh, model)
+        kbs = [index.kb for index in indexes]
+        assert query_terms(query, kbs[0], True) != query_terms(query, kbs[1], True)
+        assert len(query._terms) == 4  # two knowledge bases, two modes
+
+    def test_memo_is_not_part_of_the_value(self, un_index, kb, taxonomy):
+        searched = query_from_record(corpusgen.UN_QUERY_RECORD, kb, taxonomy)
+        twin = query_from_record(corpusgen.UN_QUERY_RECORD, kb, taxonomy)
+        for model in ALL_MODELS:
+            search(un_index, searched, model)
+        assert searched._terms and not twin._terms
+        assert searched == twin and hash(searched) == hash(twin)
+        assert repr(searched) == repr(twin)
+        copy = dataclasses.replace(searched)
+        assert copy == searched and copy._terms == {}
 
 
 class TestRunFile:

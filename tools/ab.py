@@ -15,8 +15,9 @@ untimed checks.
 Each pair runs both sides once, and the side that goes first flips from one
 pair to the next. For each end-to-end metric that ``BENCHMARK.json`` lists, it
 prints each side's median, the base's quartiles, the pairs the change won
-(ties count for neither side) and the median of the per-pair ratios, change
-over base. It writes ``BENCH_<label>.json`` with every raw result line, both
+(ties count for neither side), the median of the per-pair ratios, change over
+base, and a verdict, ``gain`` or ``worse``, as ``summarize`` defines them. It
+writes ``BENCH_<label>.json`` with every raw result line, both
 commit ids, ``os.cpu_count()`` and the Python version, and exits 1 if any run
 was not ``correct``, had failed operations or printed no result.
 """
@@ -82,7 +83,10 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
 def summarize(runs: list[dict], metrics: list[dict]) -> dict[str, dict]:
     """Per metric: each side's median, the base's quartiles, the pairs the change
     won and the median change/base ratio, over the pairs in which both sides
-    printed a result."""
+    printed a result. Two flags give the verdict: ``gain`` when the change won at
+    least nine tenths of the pairs and its median beats the base's by more than
+    the base's q1-q3 spread, and ``worse`` when its median is worse than the
+    base's by more than the metric's ``bound``, a fraction of the base's median."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         if run["result"] is not None:
@@ -97,27 +101,36 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict[str, dict]:
         change = [sides["change"][name]["value"] for sides in complete]
         won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         ratios = [c / b if b else (1.0 if c == b else float("inf")) for b, c in zip(base, change)]
+        base_median, change_median = statistics.median(base), statistics.median(change)
+        q1, q3 = _quartiles(base)
+        better_by = base_median - change_median if lower else change_median - base_median
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "pairs": len(complete),
-            "base_median": statistics.median(base),
-            "base_quartiles": _quartiles(base),
-            "change_median": statistics.median(change),
+            "base_median": base_median,
+            "base_quartiles": (q1, q3),
+            "change_median": change_median,
             "won": won,
             "median_ratio": statistics.median(ratios),
+            "gain": 10 * won >= 9 * len(complete) and better_by > q3 - q1,
+            "worse": -better_by > metric["bound"] * base_median,
         }
     return summary
 
 
 def format_summary(summary: dict[str, dict]) -> str:
-    lines = [f"{'metric':<16}{'base':>12}{'base q1-q3':>22}{'change':>12}{'won':>8}{'ratio':>8}"]
+    lines = [
+        f"{'metric':<16}{'base':>12}{'base q1-q3':>22}{'change':>12}{'won':>8}{'ratio':>8}"
+        "  verdict"
+    ]
     for name, s in summary.items():
         quartiles = "{:.5g}-{:.5g}".format(*s["base_quartiles"])
         won = f"{s['won']}/{s['pairs']}"
+        verdict = "gain" if s["gain"] else "worse" if s["worse"] else "-"
         lines.append(
             f"{name:<16}{s['base_median']:>12.5g}{quartiles:>22}"
-            f"{s['change_median']:>12.5g}{won:>8}{s['median_ratio']:>8.3f}"
+            f"{s['change_median']:>12.5g}{won:>8}{s['median_ratio']:>8.3f}  {verdict}"
         )
     return "\n".join(lines)
 
