@@ -320,13 +320,6 @@ def _posting_rows(shared) -> Iterator[dict]:
         yield {"terms": terms, "docs": gaps, "tfs": tfs}
 
 
-def _digest(path: Path) -> dict:
-    """The size and sha256 digest that stats.json records for a file, as
-    ``write_jsonl`` returns them."""
-    data = path.read_bytes()
-    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-
-
 def save_index(index: InvertedIndex, path: str | Path) -> None:
     """Write an index directory that ``load_index`` restores exactly.
 
@@ -360,27 +353,32 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _check_files(path: Path, files) -> None:
-    """Each of INDEX_FILES has the size and digest that stats.json records."""
+def _check_files(path: Path, files) -> dict[str, bytes]:
+    """Each of INDEX_FILES has the size and sha256 digest that stats.json records,
+    as ``write_jsonl`` returns them. Returns each file's bytes by name, so that
+    the load parses the bytes it checked."""
     if not isinstance(files, dict):
         raise IndexFormatError(f"{path}: stats.json lacks a files map")
+    contents = {}
     for name in INDEX_FILES:
         try:
-            found = _digest(path / name)
+            data = (path / name).read_bytes()
         except FileNotFoundError:
             raise IndexFormatError(f"{path}: {name} is missing") from None
         saved = files.get(name)
         if not isinstance(saved, dict):
             raise IndexFormatError(f"{path}: stats.json records no digest for {name}")
-        if found["bytes"] != saved.get("bytes"):
+        if len(data) != saved.get("bytes"):
             raise IndexFormatError(
-                f"{path}: {name} holds {found['bytes']} bytes, "
+                f"{path}: {name} holds {len(data)} bytes, "
                 f"not the {saved.get('bytes')!r} that stats.json records"
             )
-        if found["sha256"] != saved.get("sha256"):
+        if hashlib.sha256(data).hexdigest() != saved.get("sha256"):
             raise IndexFormatError(
                 f"{path}: {name} does not match the sha256 digest that stats.json records"
             )
+        contents[name] = data
+    return contents
 
 
 def _unknown_document(doc, n_docs: int) -> ValueError:
@@ -447,11 +445,14 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise IndexFormatError(
             f"{path}: unsupported index version {stats.get('version')!r}"
         )
-    _check_files(path, stats.get("files"))
-
+    # Each file is read once: its rows are parsed from the bytes its digest was checked on.
+    records = {
+        name: read_jsonl(path / name, IndexFormatError, data)
+        for name, data in _check_files(path, stats.get("files")).items()
+    }
     try:
-        taxonomy = load_taxonomy(read_jsonl(path / "taxonomy.jsonl", IndexFormatError))
-        kb = load_knowledge_base(read_jsonl(path / "kb.jsonl", IndexFormatError), taxonomy)
+        taxonomy = load_taxonomy(records["taxonomy.jsonl"])
+        kb = load_knowledge_base(records["kb.jsonl"], taxonomy)
     except (TaxonomyError, KnowledgeBaseError) as exc:
         name = "taxonomy.jsonl" if isinstance(exc, TaxonomyError) else "kb.jsonl"
         raise IndexFormatError(f"{path / name}: {exc}") from None
@@ -475,7 +476,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     postings: dict[str, dict[Term, PostingList]] = {s: {} for s in STORED_SPACES}
     rows = 0
     previous = None  # the last row's first (space number, space, term)
-    for row in read_jsonl(path / "postings.jsonl", IndexFormatError):
+    for row in records["postings.jsonl"]:
         rows += 1
         try:
             entries, gaps, tfs = row["terms"], row["docs"], row["tfs"]

@@ -6,13 +6,14 @@ are safe for unrestricted concurrent reads.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import KnowledgeBaseError, TaxonomyError
 
@@ -177,9 +178,17 @@ def parse_json(text: str):
     return value
 
 
-def read_lines(path: str | Path, error_cls: type[Exception]) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, stripped line)`` for each non-blank line of a UTF-8 file."""
-    with open(path, encoding="utf-8") as fh:
+def read_lines(
+    path: str | Path, error_cls: type[Exception], data: bytes | None = None
+) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for each non-blank line of a UTF-8 file.
+    ``data``, if given, is the file's bytes, already read; they split into lines
+    as the file does, with universal newlines."""
+    if data is None:
+        fh = open(path, encoding="utf-8")
+    else:
+        fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with fh:
         try:
             for lineno, line in enumerate(map(str.strip, fh), start=1):
                 if line:
@@ -188,10 +197,12 @@ def read_lines(path: str | Path, error_cls: type[Exception]) -> Iterator[tuple[i
             raise error_cls(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
-def read_jsonl(path: str | Path, error_cls: type[Exception]) -> Iterator[dict]:
+def read_jsonl(
+    path: str | Path, error_cls: type[Exception], data: bytes | None = None
+) -> Iterator[dict]:
     """Yield one JSON object per non-blank line as it is read, raising ``error_cls``
-    with context at the first bad line."""
-    for lineno, line in read_lines(path, error_cls):
+    with context at the first bad line; ``data`` is as for ``read_lines``."""
+    for lineno, line in read_lines(path, error_cls, data):
         try:
             rec = parse_json(line)
         except (ValueError, RecursionError) as exc:
@@ -220,11 +231,33 @@ def write_jsonl(path: str | Path, rows: Iterable[Mapping], *, compact: bool = Fa
     return {"bytes": size, "sha256": digest.hexdigest()}
 
 
+def _load_file(path: str | Path, error_cls: type[Exception], load: Callable, *args):
+    """``load(records, *args)`` on a JSON Lines file's records, read one at a time.
+    An error ``load`` raises names the file, ``PATH, record N: `` when raised on
+    one record and ``PATH: `` after the last; a JSON error keeps its line."""
+    where = None  # the prefix for an error raised now; None while a line is read
+
+    def records():
+        nonlocal where
+        for number, rec in enumerate(read_jsonl(path, error_cls), start=1):
+            where = f"{path}, record {number}"
+            yield rec
+            where = None
+        where = str(path)
+
+    try:
+        return load(records(), *args)
+    except error_cls as exc:
+        if where is None:
+            raise
+        raise error_cls(f"{where}: {exc}") from None
+
+
 def read_taxonomy_file(path: str | Path) -> ClassTaxonomy:
     """Load a line-delimited JSON taxonomy file."""
-    return load_taxonomy(read_jsonl(path, TaxonomyError))
+    return _load_file(path, TaxonomyError, load_taxonomy)
 
 
 def read_kb_file(path: str | Path, taxonomy: ClassTaxonomy) -> KnowledgeBase:
     """Load a line-delimited JSON knowledge-base file."""
-    return load_knowledge_base(read_jsonl(path, KnowledgeBaseError), taxonomy)
+    return _load_file(path, KnowledgeBaseError, load_knowledge_base, taxonomy)

@@ -29,6 +29,7 @@ one c per read. Both work on doc numbers, which ascend with doc id, and map them
 to ids only for what they return. ``score`` reads one document's entry from the
 pass over the query's lists that ``search`` makes, so one call costs about one
 unranked search: to score many documents of a query, use ``search`` or ``rank``.
+``_canonical`` rounds a score as ``round`` does, in float arithmetic but for a near-tie.
 """
 from __future__ import annotations
 
@@ -48,6 +49,25 @@ WEIGHT_TOLERANCE = 1e-9
 # Scores are rounded to this many decimals, so that scores equal in exact
 # arithmetic but split by float rounding tie exactly and rank by doc id.
 SCORE_DECIMALS = 12
+_SCALE = float(10 ** SCORE_DECIMALS)
+_ROUND = 1.5 * 2**52
+
+
+def _canonical(s: float) -> float:
+    """``round(s, SCORE_DECIMALS)`` in float arithmetic for ``s`` below 1, else 1.0:
+    a perfect match can land a float ulp above 1. For s < 1, x = s * _SCALE is
+    below 2**40, so it lies within 2**-14 of the exact s * 10**12. x + _ROUND lies
+    in [2**52, 2**53), where the ulp is 1, so m is the integer nearest x. Outside
+    the band of 1e-4 around a half, m is thus the integer that ``round``'s decimal
+    step picks, and m / _SCALE, correctly rounded, is the double that ``round``
+    parses back. x - m is exact by Sterbenz's lemma. A near-tie takes ``round``;
+    1 or more, and NaN, give 1.0. This holds while 10**SCORE_DECIMALS < 2**40.
+    """
+    x = s * _SCALE
+    m = (x + _ROUND) - _ROUND
+    if -0.4999 < x - m < 0.4999 and s < 1.0:
+        return m / _SCALE
+    return round(s, SCORE_DECIMALS) if s < 1.0 else 1.0
 
 
 class ModelKind(enum.Enum):
@@ -218,8 +238,7 @@ def _scores(
             pairs = iter(plist)
             for doc, tf in zip(pairs, pairs):
                 acc[doc] += c * tf / norms[doc]
-    # A perfect match can land a float ulp above 1; clamp it to exactly 1.
-    return {d: round(s, SCORE_DECIMALS) if (s := acc[d]) < 1.0 else 1.0 for d in docs}
+    return {d: _canonical(acc[d]) for d in docs}
 
 
 def score(
@@ -268,8 +287,8 @@ def search(
 ) -> list[RankedResult]:
     """Filter, score, and rank; ties break by ascending document id."""
     ranked, scores = _ranked(index, query, model, config, top_k)
-    ids = index.ids
-    return [_result((ids[doc], scores[doc])) for doc in ranked]
+    ids = map(index.ids.__getitem__, ranked)
+    return list(map(_result, zip(ids, map(scores.__getitem__, ranked))))
 
 
 def rank(

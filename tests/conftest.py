@@ -26,6 +26,12 @@ def write_jsonl(path, records):
     return path
 
 
+def round_canonical(s):
+    """The score canonicalisation that ``retrieval._canonical`` computes in float
+    arithmetic, through ``round``: 12 decimals below 1, and 1.0 otherwise."""
+    return round(s, 12) if s < 1.0 else 1.0
+
+
 def narrowest_typecode(plist):
     """The narrowest of 'B', 'H' and 'I' whose items hold every number of the list."""
     return next(t for t in "BHI" if max(plist) < 2 ** (8 * array(t).itemsize))

@@ -706,6 +706,69 @@ class TestHostileInput:
         assert_one_error_line(rc, capsys, message)
         assert not (data_dir / "ix").exists()
 
+    @pytest.mark.parametrize(
+        "name, records, where, message",
+        [
+            (
+                "taxonomy.jsonl",
+                [corpusgen.TAXONOMY_RECORDS[0], {"class": "Company", "pareGts": ["Location"]}],
+                ", record 2",
+                "class 'Company' has unknown key 'pareGts'",
+            ),
+            (
+                "taxonomy.jsonl",
+                [*corpusgen.TAXONOMY_RECORDS, {"class": "City", "parents": []}],
+                ", record 9",
+                "duplicate class id 'City'",
+            ),
+            (
+                "taxonomy.jsonl",
+                [*corpusgen.TAXONOMY_RECORDS, {"class": "Org", "parents": ["Nope"]}],
+                "",
+                "class 'Org' names undeclared parent 'Nope'",
+            ),
+            (
+                "taxonomy.jsonl",
+                [{"class": "A", "parents": ["B"]}, {"class": "B", "parents": ["A"]}],
+                "",
+                "cycle detected in class taxonomy involving 'A'",
+            ),
+            (
+                "kb.jsonl",
+                [*corpusgen.ENTITY_RECORDS, {"id": "e9", "class": "Nope", "names": ["Hue"]}],
+                ", record 6",
+                "entity 'e9' has unknown class 'Nope'",
+            ),
+            (
+                "kb.jsonl",
+                [corpusgen.ENTITY_RECORDS[0], {"id": "e9", "names": ["Hue"]}],
+                ", record 2",
+                "entity 'e9' has no class",
+            ),
+        ],
+    )
+    def test_taxonomy_and_kb_errors_name_the_file(
+        self, data_dir, capsys, name, records, where, message
+    ):
+        # A record's error names its record, as corpus and query errors do;
+        # a fault of the whole file, such as a cycle, names the file alone.
+        write_jsonl(data_dir / name, records)
+        rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {data_dir / name}{where}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["taxonomy.jsonl", "kb.jsonl"])
+    def test_json_error_in_taxonomy_or_kb_names_its_line_once(self, data_dir, capsys, name):
+        records = {"taxonomy.jsonl": corpusgen.TAXONOMY_RECORDS, "kb.jsonl": corpusgen.ENTITY_RECORDS}
+        write_jsonl(data_dir / name, records[name][:1])
+        with open(data_dir / name, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        rc = main(["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {data_dir / name}, line 2: Expecting value: line 1 column 1 (char 0)\n"
+        )
+
     @pytest.mark.parametrize("field", ["doc_id", "text"])
     @pytest.mark.parametrize("command, output", [("build-index", "--index"), ("annotate", "--out")])
     def test_lone_surrogate_in_corpus(self, data_dir, capsys, command, output, field):

@@ -556,6 +556,47 @@ class TestPersistence:
         ]
         assert all(set(mode).isdisjoint("r+") for _, mode in opened), opened
 
+    def test_load_parses_the_bytes_it_checked(self, tmp_path, city_index, monkeypatch):
+        # Each file is read once, so a file that changes after its digest was
+        # checked cannot reach the parse.
+        save_index(city_index, tmp_path / "ix")
+        read_bytes = Path.read_bytes
+
+        def read_then_overwrite(path):
+            data = read_bytes(path)
+            if path.suffix == ".jsonl":
+                path.write_bytes(b"not json\n")
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_overwrite)
+        loaded = load_index(tmp_path / "ix")
+        monkeypatch.undo()
+        assert (tmp_path / "ix" / "kb.jsonl").read_bytes() == b"not json\n"
+        assert loaded.kb.entities == city_index.kb.entities
+        assert loaded.norms == city_index.norms
+
+    def test_line_separators_inside_a_value_round_trip(self, tmp_path, taxonomy):
+        # JSON writes U+2028, U+2029 and U+0085 unescaped. str.splitlines would
+        # end a line at each; the load splits lines as open() does.
+        names = ["Saigon", "Sai\u2028gon", "Sai\u2029gon\x85"]
+        kb = load_knowledge_base([{"id": "e1", "class": "City", "names": names}], taxonomy)
+        record = {
+            "doc_id": "d1",
+            "text": "Saigon is here",
+            "annotations": [{"start": 0, "end": 6, "name": "Saigon", "class": "City", "id": "e1"}],
+        }
+        index = build_index([ingest_document(record, kb, taxonomy)], kb, taxonomy)
+        save_index(index, tmp_path / "ix")
+        assert "\u2028".encode() in (tmp_path / "ix" / "kb.jsonl").read_bytes()
+        assert "\u2028".encode() in (tmp_path / "ix" / "postings.jsonl").read_bytes()
+        loaded = load_index(tmp_path / "ix")
+        assert loaded.kb.entities == index.kb.entities
+        for space in STORED_SPACES:
+            assert loaded.terms(space) == index.terms(space)
+            for term in index.terms(space):
+                assert loaded.posting_list(term, space) == index.posting_list(term, space)
+        assert loaded.norms == index.norms
+
     def test_save_load_save_byte_identical(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "a")
         save_index(load_index(tmp_path / "a"), tmp_path / "b")
@@ -643,6 +684,34 @@ class TestPersistence:
                 match=f"row for KW:unheard in space KW names unknown document number {doc!r}",
             ):
                 load_index(tmp_path / "ix")
+
+    @pytest.mark.parametrize(
+        "name, record, message",
+        [
+            (
+                "taxonomy.jsonl",
+                {"class": "A", "parents": ["Nope"]},
+                "class 'A' names undeclared parent 'Nope'",
+            ),
+            (
+                "kb.jsonl",
+                {"id": "e9", "class": "Nope", "names": ["x"]},
+                "entity 'e9' has unknown class 'Nope'",
+            ),
+        ],
+    )
+    def test_taxonomy_and_kb_errors_name_the_index_file(
+        self, tmp_path, city_index, name, record, message
+    ):
+        # As before: the file inside the index directory, and no record number.
+        save_index(city_index, tmp_path / "ix")
+        path = tmp_path / "ix" / name
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        restamp(tmp_path / "ix", name)
+        with pytest.raises(IndexFormatError) as caught:
+            load_index(tmp_path / "ix")
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_lists_count_names_both_counts(self, tmp_path, city_index):
         save_index(city_index, tmp_path / "ix")

@@ -2,7 +2,8 @@
 against curves over every rank, document terms against per-occurrence
 expansion, ingest's single token pass against tokenize and the per-token span
 rule, query terms nested in document terms, the filter-set laws, the score
-range, search against a per-use reference scorer, filter, search and score
+range, score rounding against ``round``, search against a per-use reference
+scorer, filter, search and score
 raising on the same queries and agreeing on scores, save/load/search identity,
 one array and one saved row for each distinct posting list, saved doc-number
 gaps loading back as the lists saved, and loaders and subcommands fed fuzzed
@@ -16,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+import random
 import tempfile
 from array import array
 from bisect import bisect_right
@@ -28,8 +30,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpusgen
-from conftest import narrowest_typecode, restamp
+from conftest import narrowest_typecode, restamp, round_canonical
 from oracle import pr_points
+from ontovsm import retrieval
 from ontovsm.cli import main
 from ontovsm.corpus import (
     annotation_from_record,
@@ -422,7 +425,7 @@ def reference_search(index, query, model, config, top_k):
             for doc_id, tf in index.postings(t, stored(t, space)).items():
                 if doc_id in scores:
                     scores[doc_id] += c * tf / index.norms[space][index.ids.index(doc_id)]
-    rounded = {d: round(v, 12) if v < 1.0 else 1.0 for d, v in scores.items()}
+    rounded = {d: round_canonical(v) for d, v in scores.items()}
     return sorted(rounded.items(), key=lambda item: (-item[1], item[0]))[:top_k]
 
 
@@ -447,6 +450,58 @@ def test_search_matches_per_use_reference(collection, config, alpha, top_k):
             terms = query_terms(query, KB, overlapped=model.overlapped)
             assert filter_documents(index, query, model) == reference_candidates(index, terms, model)
             assert results == reference_search(index, query, model, config, top_k)
+
+
+def ulps_from(s, steps):
+    """The double ``steps`` ulps above ``s``, or below it when ``steps`` is negative."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        s = math.nextafter(s, toward)
+    return s
+
+
+def exact_half(k):
+    """The double nearest (k + 1/2) / 10**12, a tie of ``round``'s decimal step."""
+    return (k + 0.5) / 10**12
+
+
+near_halves = st.builds(
+    lambda k, steps: ulps_from(exact_half(k), steps),
+    st.integers(0, 10**12 - 1),
+    st.integers(-3, 3),
+)
+
+
+@given(
+    st.one_of(
+        st.floats(0.0, 1.0),
+        near_halves,
+        st.sampled_from([0.0, 1.0, 1 + 2**-52, math.nextafter(1.0, 0.0)]),
+    )
+)
+def test_canonical_score_is_round(s):
+    assert retrieval._canonical(s).hex() == round_canonical(s).hex()
+
+
+@pytest.mark.scale
+def test_canonical_score_sweep():
+    """``_canonical`` against ``round`` on 2,000,000 seeded floats in [0, 1), and
+    on the doubles within 3 ulps of 100,000 random exact halves; run with
+    ``-m scale``."""
+    rng = random.Random(2024)
+    canonical = retrieval._canonical
+    uniform = (rng.random() for _ in range(2_000_000))
+    halves = (
+        ulps_from(half, steps)
+        for half in (exact_half(rng.randrange(10**12)) for _ in range(100_000))
+        for steps in range(-3, 4)
+    )
+    mismatches = [
+        s
+        for s in itertools.chain(uniform, halves)
+        if canonical(s).hex() != round_canonical(s).hex()
+    ]
+    assert mismatches == []
 
 
 def empty_query_error(call, *args):

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import corpusgen
+from conftest import round_canonical
 from oracle import Oracle
 from ontovsm import retrieval
 from ontovsm.corpus import Annotation, Query, ingest_document, query_from_record
@@ -15,6 +16,7 @@ from ontovsm.index import build_index, load_index, save_index
 from ontovsm.ontology import load_knowledge_base, load_taxonomy
 from ontovsm.retrieval import (
     ALL_MODELS,
+    SCORE_DECIMALS,
     ModelConfig,
     ModelKind,
     RankedResult,
@@ -427,6 +429,45 @@ class TestQueryMemo:
         assert repr(searched) == repr(twin)
         copy = dataclasses.replace(searched)
         assert copy == searched and copy._terms == {}
+
+
+class TestCanonical:
+    """Scores are rounded to 12 decimals in float arithmetic, exactly as ``round``
+    rounds them; the property and the sweeps are in test_properties.py."""
+
+    def test_nan_gives_one(self):
+        assert retrieval._canonical(math.nan) == 1.0
+
+    def test_scale_fits_the_proof(self):
+        # _canonical's proof needs s * 10**SCORE_DECIMALS below 2**40 for s < 1.
+        assert 10 ** SCORE_DECIMALS < 2 ** 40
+
+    def test_search_and_rank_equal_the_round_reference(self, monkeypatch):
+        data = corpusgen.synthetic_dataset(seed=7, n_docs=300, n_queries=12)
+        taxonomy = load_taxonomy(data["taxonomy"])
+        kb = load_knowledge_base(data["kb"], taxonomy)
+        docs = [ingest_document(r, kb, taxonomy) for r in data["docs"]]
+        index = build_index(docs, kb, taxonomy)
+        queries = [query_from_record(r, kb, taxonomy) for r in data["queries"]]
+
+        def all_results():
+            found = {}
+            for query in queries:
+                for model in ALL_MODELS:
+                    try:
+                        for call in (search, rank):
+                            results = call(index, query, model)
+                            found[call, query.query_id, model] = [
+                                (doc_id, s.hex()) for doc_id, s in results
+                            ]
+                    except EmptyQueryError:
+                        pass
+            return found
+
+        fast = all_results()
+        monkeypatch.setattr(retrieval, "_canonical", round_canonical)
+        assert all_results() == fast
+        assert sum(map(len, fast.values())) > 10_000
 
 
 class TestRunFile:
