@@ -226,8 +226,8 @@ def cmd_dump_index(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_index(args: argparse.Namespace) -> int:
-    # load_index checks every count it reads in stats.json against the rows,
-    # so the index's counts are the ones stats.json records.
+    # load_index refuses a stats.json other than a save of the loaded index
+    # writes, so the index's counts are the ones stats.json records.
     index = load_index(args.index)
     counts = ", ".join(
         f"{space}={index.term_count(space)}/{index.posting_count(space)}"

@@ -97,6 +97,12 @@ def _clean_field(value) -> str | None:
 
 
 def annotation_from_record(rec: Mapping) -> Annotation:
+    """An annotation record: ``start``, ``end``, ``name``, ``class`` and ``id``,
+    each optional, and no other key."""
+    # A constant set in an ``in`` test is built once, when the function is compiled.
+    for key in rec:
+        if key not in {"start", "end", "name", "class", "id"}:
+            raise CorpusError(f"annotation has unknown key {key!r}")
     name = _clean_field(rec.get("name"))
     class_id = _clean_field(rec.get("class"))
     identifier = _clean_field(rec.get("id"))
@@ -154,6 +160,9 @@ def _record_id(record: Mapping, key: str, kind: str) -> str:
 
 def _document_fields(record: Mapping) -> tuple[str, str]:
     doc_id = _record_id(record, "doc_id", "document")
+    for key in record:
+        if key not in {"doc_id", "text", "annotations"}:
+            raise CorpusError(f"document {doc_id!r} has unknown key {key!r}")
     text = record.get("text", "")
     if not isinstance(text, str):
         raise CorpusError(f"document {doc_id!r} has a non-string text")
@@ -263,6 +272,9 @@ def query_from_record(
 ) -> Query:
     """Validate one query record; ``checked`` is as for ``ingest_document``."""
     query_id = _record_id(record, "query_id", "query")
+    for key in record:
+        if key not in {"query_id", "keywords", "entities"}:
+            raise CorpusError(f"query {query_id!r} has unknown key {key!r}")
     raw_keywords = record.get("keywords", [])
     if not isinstance(raw_keywords, list) or not all(isinstance(k, str) for k in raw_keywords):
         raise CorpusError(f"query {query_id!r} has a malformed keywords list")

@@ -16,10 +16,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from array import array
 from collections import Counter, defaultdict
 from functools import partial
-from itertools import accumulate, pairwise
+from itertools import accumulate, count, pairwise, zip_longest
 from operator import sub
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
@@ -301,15 +302,19 @@ def build_index(
     return InvertedIndex(doc_ids, raw, kb, taxonomy, stopwords, ids=ids)
 
 
-def _shared_lists(index: InvertedIndex) -> dict[int, tuple[PostingList, list[list[str]]]]:
-    """Each distinct posting list the index holds, by id, with the [space,
-    primary, secondary] of every term that has it, in the order of the first."""
-    shared: dict[int, tuple[PostingList, list[list[str]]]] = {}
+def _entry(space: str, term: Term) -> tuple[str, str, str]:
+    """A posting row's entry for a term of a stored space: the term itself, a tuple
+    of the same three strings, but in KW_FULL, whose entries name KW terms."""
+    return term if term.space == space else (space, *term[1:])
+
+
+def _shared_lists(index: InvertedIndex) -> dict[int, tuple[PostingList, list[tuple]]]:
+    """Each distinct posting list the index holds, by id, with the entry of every
+    term that has it, in the order of the first."""
+    shared: dict[int, tuple[PostingList, list[tuple]]] = {}
     for space in STORED_SPACES:
         for term, plist in index._postings[space].items():
-            shared.setdefault(id(plist), (plist, []))[1].append(
-                [space, term.primary, term.secondary]
-            )
+            shared.setdefault(id(plist), (plist, []))[1].append(_entry(space, term))
     return shared
 
 
@@ -337,7 +342,15 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "taxonomy.jsonl": write_jsonl(path / "taxonomy.jsonl", taxonomy_records(index.taxonomy)),
         "kb.jsonl": write_jsonl(path / "kb.jsonl", knowledge_base_records(index.kb)),
     }
-    stats = {
+    with open(path / "stats.json", "w", encoding="utf-8") as fh:
+        json.dump(_stats(index, len(shared), files), fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
+def _stats(index: InvertedIndex, lists: int, files: dict) -> dict:
+    """The stats.json record of an index saved as ``lists`` posting rows, whose
+    JSONL files have the sizes and digests ``files``."""
+    return {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "doc_count": index.n_docs,
@@ -345,21 +358,18 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "stopwords": sorted(index.stopwords),
         "terms": {space: index.term_count(space) for space in STORED_SPACES},
         "postings": {space: index.posting_count(space) for space in STORED_SPACES},
-        "lists": len(shared),
+        "lists": lists,
         "files": files,
     }
-    with open(path / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
 
 
-def _check_files(path: Path, files) -> dict[str, bytes]:
+def _check_files(path: Path, files) -> tuple[dict[str, Iterator[dict]], dict[str, dict]]:
     """Each of INDEX_FILES has the size and sha256 digest that stats.json records,
-    as ``write_jsonl`` returns them. Returns each file's bytes by name, so that
-    the load parses the bytes it checked."""
+    as ``write_jsonl`` returns them. Returns each file's records by name, parsed
+    as they are read from the bytes checked, and the files map a save writes."""
     if not isinstance(files, dict):
         raise IndexFormatError(f"{path}: stats.json lacks a files map")
-    contents = {}
+    records, checked = {}, {}
     for name in INDEX_FILES:
         try:
             data = (path / name).read_bytes()
@@ -373,12 +383,14 @@ def _check_files(path: Path, files) -> dict[str, bytes]:
                 f"{path}: {name} holds {len(data)} bytes, "
                 f"not the {saved.get('bytes')!r} that stats.json records"
             )
-        if hashlib.sha256(data).hexdigest() != saved.get("sha256"):
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != saved.get("sha256"):
             raise IndexFormatError(
                 f"{path}: {name} does not match the sha256 digest that stats.json records"
             )
-        contents[name] = data
-    return contents
+        records[name] = read_jsonl(path / name, IndexFormatError, data)
+        checked[name] = {"bytes": len(data), "sha256": digest}
+    return records, checked
 
 
 def _unknown_document(doc, n_docs: int) -> ValueError:
@@ -419,19 +431,29 @@ def _posting_array(gaps, tfs, n_docs: int) -> PostingList:
     return _interleaved(list(accumulate(gaps)), tfs)
 
 
-def _term_in_space(entry: tuple[int, str, Term]) -> str:
-    _, space, term = entry
-    return f"{format_term(term)} in space {space}"
+def _check_resave(path: Path, held: Iterable, written: Iterable, keys=None) -> None:
+    """Raise ``IndexFormatError`` at the first record that the file at ``path``
+    holds, as ``held``, other than a save of the loaded index writes it, as
+    ``written``, naming it by number, or by its key when stats.json's ``keys`` are
+    given. Both are shown in JSON; ``...`` stands for none."""
+    for label, pair in zip(keys or count(1), zip_longest(held, written, fillvalue=...)):
+        if pair[0] != pair[1]:
+            where = f"key {label!r}" if keys else f"record {label}"
+            shown = ["nothing" if v is ... else json.dumps(v, ensure_ascii=False) for v in pair]
+            raise IndexFormatError(
+                f"{path}, {where}: holds {shown[0]}, "
+                f"where a save of the loaded index writes {shown[1]}"
+            )
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index directory that ``save_index`` wrote, or raise
+    """Read an index directory exactly as ``save_index`` writes it, or raise
     ``IndexFormatError`` naming what is wrong with it: a file that is missing or
     differs from the size and digest stats.json records, a taxonomy or knowledge
     base record its loader refuses, a malformed row, a term named twice or one
-    ``save_index`` would not write, terms or rows out of the order it writes them
-    in, two rows that hold one list, or counts that do not match the rows. Each
-    row's array is built once and held by every term the row names."""
+    ``save_index`` would not write, or a taxonomy record, a row's terms or a
+    stats.json key other than a save of the loaded index writes. Each row's array
+    is built once and held by every term the row names."""
     path = Path(path)
     try:
         stats = parse_json((path / "stats.json").read_text(encoding="utf-8"))
@@ -445,13 +467,10 @@ def load_index(path: str | Path) -> InvertedIndex:
         raise IndexFormatError(
             f"{path}: unsupported index version {stats.get('version')!r}"
         )
-    # Each file is read once: its rows are parsed from the bytes its digest was checked on.
-    records = {
-        name: read_jsonl(path / name, IndexFormatError, data)
-        for name, data in _check_files(path, stats.get("files")).items()
-    }
+    records, files = _check_files(path, stats.get("files"))
+    taxonomy_rows = list(records["taxonomy.jsonl"])
     try:
-        taxonomy = load_taxonomy(records["taxonomy.jsonl"])
+        taxonomy = load_taxonomy(taxonomy_rows)
         kb = load_knowledge_base(records["kb.jsonl"], taxonomy)
     except (TaxonomyError, KnowledgeBaseError) as exc:
         name = "taxonomy.jsonl" if isinstance(exc, TaxonomyError) else "kb.jsonl"
@@ -464,25 +483,15 @@ def load_index(path: str | Path) -> InvertedIndex:
         ids = _sorted_ids(doc_ids)
     except CorpusError as exc:
         raise IndexFormatError(f"{path / 'stats.json'}: {exc}") from None
-    if stats.get("doc_count") != len(doc_ids):
-        raise IndexFormatError(
-            f"{path}: stats.json's doc_count {stats.get('doc_count')!r} "
-            f"does not match its {len(doc_ids)} doc ids"
-        )
     stopwords = stats.get("stopwords")
     if not (isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
         raise IndexFormatError(f"{path}: stats.json's stopwords is not a list of strings")
 
     postings: dict[str, dict[Term, PostingList]] = {s: {} for s in STORED_SPACES}
-    rows = 0
-    previous = None  # the last row's first (space number, space, term)
+    row_entries = []  # each row's entries, as _entry makes them, to compare with a save's
     for row in records["postings.jsonl"]:
-        rows += 1
-        try:
-            entries, gaps, tfs = row["terms"], row["docs"], row["tfs"]
-        except KeyError:
-            raise IndexFormatError(f"{path}: malformed posting row {row!r}") from None
-        if type(entries) is not list:
+        entries = row.get("terms")
+        if row.keys() != {"terms", "docs", "tfs"} or type(entries) is not list:
             raise IndexFormatError(f"{path}: malformed posting row {row!r}")
         if not entries:
             raise IndexFormatError(f"{path}: a posting row names no term")
@@ -500,56 +509,35 @@ def load_index(path: str | Path) -> InvertedIndex:
                 raise IndexFormatError(
                     f"{path}: posting row entry {entry!r} carries class {secondary!r} outside NC"
                 )
-            # A KW_FULL entry names a KW term.
-            key = Term("KW" if space == "KW_FULL" else space, *entry[1:])
-            named.append((STORED_SPACES.index(space), space, key))
+            # A KW_FULL entry names a KW term. The index keeps one string for each space.
+            space = sys.intern(space)
+            named.append((space, Term("KW" if space == "KW_FULL" else space, *entry[1:])))
         try:
-            plist = _posting_array(gaps, tfs, len(ids))
+            plist = _posting_array(row["docs"], row["tfs"], len(ids))
         except ValueError as exc:
-            _, space, key = named[0]
+            space, key = named[0]
             raise IndexFormatError(
                 f"{path}: posting row for {format_term(key)} in space {space} {exc}"
             ) from None
         # Every term the row names holds its one array.
-        for _, space, key in named:
+        for space, key in named:
             if key in postings[space]:
                 raise IndexFormatError(
                     f"{path}: posting rows name term {format_term(key)} in space {space} twice"
                 )
             postings[space][key] = plist
-        # As save_index orders them: a row's terms, and the rows by their first
-        # terms, strictly ascend by space in STORED_SPACES order, then by term.
-        for before, after in pairwise(named):
-            if not before < after:
-                raise IndexFormatError(
-                    f"{path}: a posting row's terms are out of order: "
-                    f"{_term_in_space(after)} follows {_term_in_space(before)}"
-                )
-        if previous and not previous < named[0]:
-            raise IndexFormatError(
-                f"{path}: posting rows are out of order: the row for {_term_in_space(named[0])} "
-                f"follows the row for {_term_in_space(previous)}"
-            )
-        previous = named[0]
+        row_entries.append([_entry(space, key) for space, key in named])
 
-    if stats.get("lists") != rows:
-        raise IndexFormatError(
-            f"{path}: stats.json's lists count {stats.get('lists')!r} "
-            f"does not match the {rows} posting rows"
-        )
     index = InvertedIndex(doc_ids, postings, kb, taxonomy, stopwords, ids=ids)
-    if index.list_count() != rows:
-        raise IndexFormatError(
-            f"{path}: two posting rows hold one list: the {rows} rows hold "
-            f"{index.list_count()} distinct lists"
-        )
-    for name, count in (("term", index.term_count), ("posting", index.posting_count)):
-        counts = {space: count(space) for space in STORED_SPACES}
-        if stats.get(f"{name}s") != counts:
-            raise IndexFormatError(
-                f"{path}: stats.json's {name} counts {stats.get(f'{name}s')!r} "
-                f"do not match the rows' {counts!r}"
-            )
+    _check_resave(path / "taxonomy.jsonl", taxonomy_rows, taxonomy_records(taxonomy))
+    # A row's array is built from its own columns, which a save writes back, so
+    # only the rows' terms need comparing.
+    shared = _shared_lists(index)
+    _check_resave(path / "postings.jsonl", row_entries, (terms for _, terms in shared.values()))
+    saved = _stats(index, len(shared), files)
+    keys = [*saved, *(key for key in stats if key not in saved)]
+    held = [stats.get(key, ...) for key in keys]
+    _check_resave(path / "stats.json", held, [saved.get(key, ...) for key in keys], keys)
     return index
 
 

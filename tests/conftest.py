@@ -240,6 +240,38 @@ def _add_unknown_key(name, key):
     return corrupt
 
 
+def _rewrite_taxonomy(change):
+    """Apply ``change`` to the saved taxonomy records, write them as a save
+    would, and restamp the file, so that the load's comparison sees them."""
+
+    def corrupt(index_dir):
+        path = index_dir / "taxonomy.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        change(rows)
+        ontology.write_jsonl(path, rows)
+        restamp(index_dir, "taxonomy.jsonl")
+
+    return corrupt
+
+
+def _swap_first_classes(rows):
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+def _repeat_first_parent(rows):
+    parents = next(row["parents"] for row in rows if row["parents"])
+    parents.append(parents[0])
+
+
+def _drop_a_roots_parents(rows):
+    # load_taxonomy reads a missing parents list as [], which a save writes.
+    del next(row for row in rows if not row["parents"])["parents"]
+
+
+def _add_a_files_entry(stats):
+    stats["files"]["notes.txt"] = {"bytes": 0, "sha256": hashlib.sha256(b"").hexdigest()}
+
+
 def _edit_one_byte(name):
     """Turn the file's last digit or letter into the next one, keeping its size
     and digest entry. The edited file still parses."""
@@ -384,11 +416,11 @@ INDEX_CORRUPTIONS = [
     pytest.param(
         _give_a_keyword_a_class, "carries class 'Extra' outside NC", id="class-outside-nc"
     ),
-    pytest.param(_swap_first_rows, "posting rows are out of order", id="rows-out-of-order"),
+    pytest.param(_swap_first_rows, "postings.jsonl, record 1: holds", id="rows-out-of-order"),
     pytest.param(
-        _reverse_a_rows_terms, "a posting row's terms are out of order", id="terms-out-of-order"
+        _reverse_a_rows_terms, "postings.jsonl, record 1: holds", id="terms-out-of-order"
     ),
-    pytest.param(_split_a_row, "two posting rows hold one list", id="list-split-over-two-rows"),
+    pytest.param(_split_a_row, "postings.jsonl, record 1: holds", id="list-split-over-two-rows"),
     pytest.param(
         _rewrite_posting_row(_repeat_first_doc_in_row),
         "lists a document twice",
@@ -457,17 +489,61 @@ INDEX_CORRUPTIONS = [
         id="doc-count-mismatch",
     ),
     pytest.param(
-        _rewrite_stats(_miscount_first_space("terms")), "term counts", id="term-count-mismatch"
+        _rewrite_stats(_miscount_first_space("terms")),
+        "stats.json, key 'terms': holds",
+        id="term-count-mismatch",
     ),
     pytest.param(
         _rewrite_stats(_miscount_first_space("postings")),
-        "posting counts",
+        "stats.json, key 'postings': holds",
         id="posting-count-mismatch",
     ),
     pytest.param(
         _rewrite_stats(lambda stats: stats.update(lists=stats["lists"] + 1)),
-        "lists count",
+        "stats.json, key 'lists': holds",
         id="lists-count-off-by-one",
+    ),
+    # Edits that the checks of each record's own form let through: the load
+    # refuses them because a save of the index it reads would write otherwise.
+    pytest.param(
+        _set_stopwords(["the", "a"]),
+        "stats.json, key 'stopwords': holds",
+        id="stopwords-out-of-order",
+    ),
+    pytest.param(
+        _set_stopwords(["the", "the"]),
+        "stats.json, key 'stopwords': holds",
+        id="stopword-twice",
+    ),
+    pytest.param(
+        _rewrite_stats(lambda stats: stats.update(comment="x")),
+        "stats.json, key 'comment': holds \"x\", where a save of the loaded index writes nothing",
+        id="stats-unknown-key",
+    ),
+    pytest.param(
+        _rewrite_stats(_add_a_files_entry),
+        "stats.json, key 'files': holds",
+        id="files-map-extra-entry",
+    ),
+    pytest.param(
+        _rewrite_taxonomy(_swap_first_classes),
+        "taxonomy.jsonl, record 1: holds",
+        id="classes-out-of-order",
+    ),
+    pytest.param(
+        _rewrite_taxonomy(_repeat_first_parent),
+        "taxonomy.jsonl, record 1: holds",
+        id="parent-twice",
+    ),
+    pytest.param(
+        _rewrite_taxonomy(_drop_a_roots_parents),
+        "taxonomy.jsonl, record 4: holds",
+        id="root-without-parents",
+    ),
+    pytest.param(
+        _rewrite_posting_row(lambda row: row.update(extra=[])),
+        "malformed posting row",
+        id="row-with-fourth-key",
     ),
     # A misspelt key would otherwise be dropped, and with it, say, a class's parents.
     pytest.param(

@@ -707,6 +707,65 @@ class TestHostileInput:
         assert not (data_dir / "ix").exists()
 
     @pytest.mark.parametrize(
+        "command, name, record, message",
+        [
+            (
+                "build-index",
+                "corpus.jsonl",
+                {"doc_id": "d9", "text": "Hue", "title": "Hue"},
+                "document 'd9' has unknown key 'title'",
+            ),
+            (
+                "build-index",
+                "corpus.jsonl",
+                {
+                    "doc_id": "d9",
+                    "text": "Hue",
+                    "annotations": [{"start": 0, "end": 3, "name": "Hue", "klass": "City"}],
+                },
+                "document 'd9': annotation has unknown key 'klass'",
+            ),
+            (
+                "annotate",
+                "corpus.jsonl",
+                {"doc_id": "d9", "text": "Hue", "title": "Hue"},
+                "document 'd9' has unknown key 'title'",
+            ),
+            (
+                "search",
+                "queries.jsonl",
+                {"query_id": "q9", "keywords": ["hue"], "title": "Hue"},
+                "query 'q9' has unknown key 'title'",
+            ),
+            (
+                "search",
+                "queries.jsonl",
+                {"query_id": "q9", "entities": [{"name": "Saigon", "klass": "City"}]},
+                "query 'q9': annotation has unknown key 'klass'",
+            ),
+        ],
+    )
+    def test_unknown_input_key(self, data_dir, capsys, command, name, record, message):
+        # A misspelt key would otherwise be dropped, and the document indexed, or
+        # the query read, under other terms than its record names.
+        index_dir = build(data_dir)
+        capsys.readouterr()
+        valid = {
+            "corpus.jsonl": corpusgen.UN_DOC_RECORDS[0],
+            "queries.jsonl": corpusgen.UN_QUERY_RECORD,
+        }
+        write_jsonl(data_dir / name, [valid[name], record])
+        argv = {
+            "build-index": ["build-index", *base_args(data_dir), "--index", str(data_dir / "ix")],
+            "annotate": annotate_args(data_dir, data_dir / name),
+            "search": [
+                "search", "--index", str(index_dir),
+                "--queries", str(data_dir / name), "--out", str(data_dir / "runs"),
+            ],
+        }[command]
+        assert_one_error_line(main(argv), capsys, f"{data_dir / name}, record 2: {message}")
+
+    @pytest.mark.parametrize(
         "name, records, where, message",
         [
             (

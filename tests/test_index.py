@@ -718,7 +718,8 @@ class TestPersistence:
         path = tmp_path / "ix" / "stats.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "lists": 4}))
         with pytest.raises(
-            IndexFormatError, match="stats.json's lists count 4 does not match the 5 posting rows"
+            IndexFormatError,
+            match="stats.json, key 'lists': holds 4, where a save of the loaded index writes 5",
         ):
             load_index(tmp_path / "ix")
 

@@ -6,8 +6,9 @@ range, score rounding against ``round``, search against a per-use reference
 scorer, filter, search and score
 raising on the same queries and agreeing on scores, save/load/search identity,
 one array and one saved row for each distinct posting list, saved doc-number
-gaps loading back as the lists saved, and loaders and subcommands fed fuzzed
-input files."""
+gaps loading back as the lists saved, loaders and subcommands fed fuzzed
+input files, and a fuzzed index file refused or loaded into an index that
+re-saves the records read."""
 import contextlib
 import copy
 import dataclasses
@@ -44,7 +45,7 @@ from ontovsm.corpus import (
     tokenize,
     tokenize_with_spans,
 )
-from ontovsm.errors import EmptyQueryError, OntoVsmError
+from ontovsm.errors import EmptyQueryError, IndexFormatError, OntoVsmError
 from ontovsm.evaluation import (
     RECALL_LEVELS,
     InterpMode,
@@ -65,7 +66,14 @@ from ontovsm.index import (
     load_index,
     save_index,
 )
-from ontovsm.ontology import load_knowledge_base, load_taxonomy, read_kb_file, read_taxonomy_file
+from ontovsm.ontology import (
+    load_knowledge_base,
+    load_taxonomy,
+    parse_json,
+    read_jsonl,
+    read_kb_file,
+    read_taxonomy_file,
+)
 from ontovsm.retrieval import (
     ALL_MODELS,
     ModelConfig,
@@ -617,6 +625,7 @@ def test_saved_gaps_load_as_the_lists_saved(case):
 
 DATASET = corpusgen.synthetic_dataset(seed=3, n_docs=6, n_queries=2)
 INDEX_FILES = ("ix/stats.json", "ix/postings.jsonl", "ix/taxonomy.jsonl", "ix/kb.jsonl")
+INDEX_JSONL = [Path(name).name for name in INDEX_FILES[1:]]
 
 
 def jsonl(records):
@@ -738,6 +747,45 @@ def test_loaders_raise_only_package_errors(name, data):
             LOADERS[name](Path(tmp) / name)
         except OntoVsmError:
             pass
+
+
+def saved_records(index_dir):
+    """Each file of an index directory as its reader parses it: a JSONL file's
+    records, in order, and stats.json without its files map, whose digests follow
+    the bytes, of which a \\u escape and a space after a separator are spellings."""
+    records = {name: list(read_jsonl(index_dir / name, ValueError)) for name in INDEX_JSONL}
+    stats = parse_json((index_dir / "stats.json").read_text(encoding="utf-8"))
+    return {**records, "stats.json": {k: v for k, v in stats.items() if k != "files"}}
+
+
+def reloads_exactly_or_is_refused(name, data):
+    contents = data.draw(file_contents(name), label="contents")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp), name, contents)
+        try:
+            index = load_index(Path(tmp) / "ix")
+        except IndexFormatError:
+            return
+        save_index(index, Path(tmp) / "resaved")
+        assert saved_records(Path(tmp) / "resaved") == saved_records(Path(tmp) / "ix")
+
+
+@pytest.mark.parametrize("name", INDEX_FILES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_loaded_index_resaves_as_read(name, data):
+    """Property B: a mutated index file, restamped unless it is stats.json, is
+    refused, or loads an index whose save writes the records read, file for file."""
+    reloads_exactly_or_is_refused(name, data)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("name", INDEX_FILES)
+@settings(max_examples=2000)
+@given(data=st.data())
+def test_a_loaded_index_resaves_as_read_sweep(name, data):
+    """Property B at 2,000 examples for each index file; run with ``-m scale``."""
+    reloads_exactly_or_is_refused(name, data)
 
 
 def command_line(command, d):
